@@ -56,6 +56,11 @@ def _parse_shape(text: str, charge):
     return lam
 
 
+def _check_nonnegative(value: int | None, flag: str) -> None:
+    if value is not None and value < 0:
+        raise UsageError(f"{flag} must be nonnegative, got {value}")
+
+
 def _check_level(args, charge) -> None:
     if getattr(args, "level", None) is not None and args.level != len(charge):
         raise UsageError(f"--level {args.level} does not match charge length {len(charge)}")
@@ -115,12 +120,10 @@ def _cmd_tableaux(args) -> int:
             raise UsageError(str(exc)) from None
         if len(wanted) != multipartition_size(lam):
             raise UsageError("residue sequence length does not match the shape size")
-    listing = []
-    for t, deg in standard_tableaux_with_degrees(lam, charge):
-        seq = residue_sequence(t, charge)
-        if wanted is not None and seq != wanted:
-            continue
-        listing.append((t, deg, seq))
+    listing = [
+        (t, deg, residue_sequence(t, charge))
+        for t, deg in standard_tableaux_with_degrees(lam, charge, wanted)
+    ]
     payload = {
         "lambda": format_multipartition(lam),
         "charge": list(charge),
@@ -155,10 +158,11 @@ def _report_output(report, fmt: str) -> int:
 def _cmd_verify(args) -> int:
     charge = _parse_charge(args.charge)
     _check_level(args, charge)
+    _check_nonnegative(args.d, "--d")
     if args.what == "parity":
-        report = verify_specht_parity(args.d, charge, parallel=args.parallel)
+        report = verify_specht_parity(args.d, charge)
     elif args.what == "row-degree":
-        report = verify_row_degree_parity(args.d, charge, parallel=args.parallel)
+        report = verify_row_degree_parity(args.d, charge)
     else:
         report = verify_hecke_even(args.d, charge)
     return _report_output(report, args.format)
@@ -167,6 +171,7 @@ def _cmd_verify(args) -> int:
 def _cmd_restricted(args) -> int:
     charge = _parse_charge(args.charge)
     _check_level(args, charge)
+    _check_nonnegative(args.d, "--d")
     found = sorted(restricted_multipartitions(args.d, charge))
     names = [format_multipartition(lam) for lam in found]
     payload = {"d": args.d, "charge": list(charge), "restricted": names}
@@ -178,6 +183,7 @@ def _cmd_llt(args) -> int:
     charge = _parse_charge(args.charge)
     if len(charge) != 1:
         raise UsageError("the canonical-basis computation is level-1 only")
+    _check_nonnegative(args.d, "--d")
     matrix = decomposition_matrix(args.d, charge)
     simples = simple_qdims(args.d, charge, matrix)
     violations = []
@@ -236,6 +242,7 @@ def _cmd_llt(args) -> int:
 
 def _cmd_adjustment(args) -> int:
     charge = _parse_charge(args.charge)
+    _check_nonnegative(args.bound, "--bound")
     reports = [
         adj.evidence_report(ev, charge, args.bound) for ev in adj.published_evidence()
     ]
@@ -293,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="exhaustive checks over all shapes of a size")
     p.add_argument("what", choices=("parity", "row-degree", "hecke"))
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--parallel", action="store_true")
+    p.add_argument("--parallel", action="store_true", help="accepted; has no effect")
     common(p)
     p.set_defaults(func=_cmd_verify)
 

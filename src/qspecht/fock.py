@@ -286,15 +286,18 @@ def simple_qdims(
     d: int, kappa: Multicharge = (0,), matrix: GradedDecompositionMatrix | None = None
 ) -> dict[Partition, LaurentPoly]:
     """Graded dimensions of the simple modules in characteristic 0, solved by
-    back-substitution through the unitriangular decomposition system."""
-    from .specht import qdim_specht
+    back-substitution through the unitriangular decomposition system.  The
+    Specht graded dimensions of the columns share one memo."""
+    from .specht import _shared_memo, qdim_specht
 
     _require_level_one(kappa)
     if matrix is None:
         matrix = decomposition_matrix(d, kappa)
+    with _shared_memo():
+        spechts = {mu: qdim_specht((mu,), kappa) for mu in matrix.cols}
     simples: dict[Partition, LaurentPoly] = {}
     for mu in reversed(matrix.cols):  # ascending dominance
-        total = qdim_specht((mu,), kappa)
+        total = spechts[mu]
         for nu in matrix.cols:
             if nu != mu and (mu, nu) in matrix.entries:
                 if nu not in simples:

@@ -1,30 +1,94 @@
-"""Graded dimensions of Specht modules and their parity verification sweeps."""
+"""Graded dimensions of Specht modules and their parity verification sweeps.
+
+Graded dimensions are computed by the branching recursion: the largest entry
+of a standard tableau of shape lam sits at a removable node A, and contributes
+the signed node count d_A(lam) to the tableau's degree, so
+
+    qdim S(lam) = sum over removable A of q^{d_A(lam)} * qdim S(lam - A),
+
+with qdim S(empty) = 1.  This is the degree of Brundan-Kleshchev-Wang,
+"Graded Specht modules", read off one entry at a time; the recursion visits
+each subdiagram once instead of each tableau.
+"""
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .core import (
+    RESIDUES,
     Multicharge,
     Multipartition,
+    degree_contribution,
     degree_parity,
     format_multipartition,
     multipartition_size,
     multipartitions,
+    removable_nodes,
+    with_node_removed,
 )
 from .laurent import LaurentPoly
-from .tableaux import _search, degree, row_filled_tableau
+from .tableaux import degree, row_filled_tableau
+
+# Degree counts {degree: number of tableaux}, one memo per multicharge, shared
+# by the qdim_specht calls inside a `_shared_memo()` block and dropped when
+# the block exits.
+Counts = dict[int, int]
+_memos: ContextVar[dict[Multicharge, dict[Multipartition, Counts]] | None] = ContextVar(
+    "qspecht_qdim_memos", default=None
+)
 
 
-@lru_cache(maxsize=None)
+@contextmanager
+def _shared_memo() -> Iterator[None]:
+    """Let the qdim_specht calls inside the block share one memo per
+    multicharge; a nested block reuses the outer one."""
+    if _memos.get() is not None:
+        yield
+        return
+    token = _memos.set({})
+    try:
+        yield
+    finally:
+        _memos.reset(token)
+
+
+def _branch(
+    lam: Multipartition,
+    kappa: Multicharge,
+    memo: dict[Multipartition, Counts],
+    residues: tuple[int, ...] | None = None,
+) -> Counts:
+    """Degree counts of the standard tableaux of ``lam``, by the branching
+    recursion over its subdiagrams.  With ``residues`` set, only nodes of
+    residue ``residues[-1]`` are removed at each step, which keeps the
+    tableaux with that residue sequence; ``memo`` then holds one residue
+    prefix per size."""
+    found = memo.get(lam)
+    if found is not None:
+        return found
+    counts: Counts = {} if any(lam) else {0: 1}
+    rest = None if residues is None else residues[:-1]
+    for i in RESIDUES if residues is None else residues[-1:]:
+        for node in removable_nodes(lam, kappa, i):
+            sub = _branch(with_node_removed(lam, node), kappa, memo, rest)
+            if sub:
+                shift = degree_contribution(lam, kappa, node)
+                for deg, count in sub.items():
+                    counts[deg + shift] = counts.get(deg + shift, 0) + count
+    memo[lam] = counts
+    return counts
+
+
 def qdim_specht(lam: Multipartition, kappa: Multicharge) -> LaurentPoly:
     """Graded dimension of the Specht module: the degree-generating function
     q^deg(t) summed over all standard tableaux of the shape."""
-    counts: dict[int, int] = {}
-    for _, deg in _search(lam, kappa, None):
-        counts[deg] = counts.get(deg, 0) + 1
-    return LaurentPoly(counts)
+    memos = _memos.get()
+    memo = {} if memos is None else memos.setdefault(kappa, {})
+    return LaurentPoly(_branch(lam, kappa, memo))
 
 
 def qdim_truncation(
@@ -34,22 +98,21 @@ def qdim_truncation(
     over the standard tableaux with the given residue sequence."""
     if len(residues) != multipartition_size(lam):
         raise ValueError("residue sequence length does not match the shape size")
-    counts: dict[int, int] = {}
-    for _, deg in _search(lam, kappa, tuple(residues)):
-        counts[deg] = counts.get(deg, 0) + 1
-    return LaurentPoly(counts)
+    return LaurentPoly(_branch(lam, kappa, {}, tuple(residues)))
 
 
 def qdim_hecke(d: int, kappa: Multicharge) -> LaurentPoly:
     """Graded dimension of the whole cyclotomic algebra in rank d, computed
     as the sum of the squared cell-module graded dimensions over all shapes.
 
-    At q = 1 this is l^d * d! (checked by :func:`verify_hecke_even`).
+    At q = 1 this is l^d * d! (checked by :func:`verify_hecke_even`).  The
+    shapes share one memo.
     """
     total: LaurentPoly = LaurentPoly()
-    for lam in multipartitions(d, len(kappa)):
-        s = qdim_specht(lam, kappa)
-        total = total + s * s
+    with _shared_memo():
+        for lam in multipartitions(d, len(kappa)):
+            s = qdim_specht(lam, kappa)
+            total = total + s * s
     return total
 
 
@@ -86,8 +149,7 @@ class SweepReport:
         }
 
 
-def _parity_violation(args: tuple[Multipartition, Multicharge]) -> str | None:
-    lam, kappa = args
+def _parity_violation(lam: Multipartition, kappa: Multicharge) -> str | None:
     qdim = qdim_specht(lam, kappa)
     parity = degree_parity(lam, kappa)
     if not qdim.is_pure_parity(parity):
@@ -95,8 +157,7 @@ def _parity_violation(args: tuple[Multipartition, Multicharge]) -> str | None:
     return None
 
 
-def _row_degree_violation(args: tuple[Multipartition, Multicharge]) -> str | None:
-    lam, kappa = args
+def _row_degree_violation(lam: Multipartition, kappa: Multicharge) -> str | None:
     deg = degree(row_filled_tableau(lam), kappa)
     parity = degree_parity(lam, kappa)
     if deg % 2 != parity:
@@ -104,24 +165,20 @@ def _row_degree_violation(args: tuple[Multipartition, Multicharge]) -> str | Non
     return None
 
 
-def _sweep(checker, d: int, kappa: Multicharge, parallel: bool) -> tuple[int, tuple[str, ...]]:
-    jobs = [(lam, kappa) for lam in multipartitions(d, len(kappa))]
-    if parallel and len(jobs) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor() as pool:
-            results = list(pool.map(checker, jobs, chunksize=8))
-    else:
-        results = [checker(job) for job in jobs]
-    return len(jobs), tuple(r for r in results if r is not None)
+def _sweep(checker, d: int, kappa: Multicharge) -> tuple[int, tuple[str, ...]]:
+    shapes = list(multipartitions(d, len(kappa)))
+    with _shared_memo():
+        results = [checker(lam, kappa) for lam in shapes]
+    return len(shapes), tuple(r for r in results if r is not None)
 
 
 def verify_specht_parity(
     d: int, kappa: Multicharge, parallel: bool = False
 ) -> SweepReport:
     """Check every shape of size d: its Specht graded dimension must be pure
-    of the shape's combinatorial parity."""
-    checked, violations = _sweep(_parity_violation, d, kappa, parallel)
+    of the shape's combinatorial parity.  The shapes share one memo, so each
+    subdiagram is evaluated once; ``parallel`` is accepted and ignored."""
+    checked, violations = _sweep(_parity_violation, d, kappa)
     return SweepReport(
         check="specht-parity",
         parameters={"d": d, "charge": list(kappa)},
@@ -134,8 +191,9 @@ def verify_row_degree_parity(
     d: int, kappa: Multicharge, parallel: bool = False
 ) -> SweepReport:
     """Check every shape of size d: the degree of its row-filled tableau must
-    agree mod 2 with the shape's combinatorial parity."""
-    checked, violations = _sweep(_row_degree_violation, d, kappa, parallel)
+    agree mod 2 with the shape's combinatorial parity.  ``parallel`` is
+    accepted and ignored."""
+    checked, violations = _sweep(_row_degree_violation, d, kappa)
     return SweepReport(
         check="row-degree-parity",
         parameters={"d": d, "charge": list(kappa)},

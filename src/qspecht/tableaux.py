@@ -17,8 +17,6 @@ from .core import (
     Multicharge,
     Multipartition,
     Node,
-    _addable_cells,
-    _removable_cells,
     degree_contribution,
     format_multipartition,
     multipartition_size,
@@ -87,28 +85,6 @@ def row_filled_tableau(lam: Multipartition) -> StandardTableau:
     return StandardTableau(lam, tuple(places))
 
 
-def _dn_grown(rows: list[list[int]], kappa: Multicharge, node: Node) -> int:
-    """Signed node count of ``node`` in the shape ``rows`` (which contains it).
-
-    Fast path over mutable row-length lists; agrees with
-    :func:`qspecht.core.degree_contribution` on the corresponding tuples.
-    """
-    a0, b0, m0 = node
-    i = (kappa[m0 - 1] + b0 - a0) % 2
-    count = 0
-    for m in range(m0, len(rows) + 1):
-        comp = rows[m - 1]
-        k = kappa[m - 1]
-        first_row = a0 + 1 if m == m0 else 1
-        for a, b in _addable_cells(comp):
-            if a >= first_row and (k + b - a) % 2 == i:
-                count += 1
-        for a, b in _removable_cells(comp):
-            if a >= first_row and (k + b - a) % 2 == i:
-                count -= 1
-    return count
-
-
 def _search(
     lam: Multipartition,
     kappa: Multicharge,
@@ -117,7 +93,9 @@ def _search(
     """Yield (places, degree) for the standard tableaux of ``lam``.
 
     With ``target`` set, branches whose next residue disagrees are pruned, so
-    only tableaux with that residue sequence are produced.
+    only tableaux with that residue sequence are produced.  This is for
+    listings; graded dimensions come from the branching recursion in
+    :mod:`qspecht.specht`, which never visits individual tableaux.
     """
     d = multipartition_size(lam)
     rows: list[list[int]] = [[] for _ in lam]
@@ -146,7 +124,7 @@ def _search(
                 else:
                     cur[a - 1] += 1
                 places.append(node)
-                yield from grow(r + 1, degree + _dn_grown(rows, kappa, node))
+                yield from grow(r + 1, degree + degree_contribution(rows, kappa, node))
                 places.pop()
                 if a == len(cur) and cur[a - 1] == 1:
                     cur.pop()
@@ -164,11 +142,15 @@ def standard_tableaux(lam: Multipartition) -> Iterator[StandardTableau]:
 
 
 def standard_tableaux_with_degrees(
-    lam: Multipartition, kappa: Multicharge
+    lam: Multipartition, kappa: Multicharge, residues: tuple[int, ...] | None = None
 ) -> Iterator[tuple[StandardTableau, int]]:
+    """Standard tableaux of ``lam`` with their degrees; with ``residues`` set,
+    only those with that residue sequence, found by the pruned search."""
     if len(lam) != len(kappa):
         raise ValueError("shape level does not match the multicharge length")
-    for places, deg in _search(lam, kappa, None):
+    if residues is not None and len(residues) != multipartition_size(lam):
+        raise ValueError("residue sequence length does not match the shape size")
+    for places, deg in _search(lam, kappa, residues):
         yield StandardTableau(lam, places), deg
 
 
@@ -176,14 +158,7 @@ def tableaux_with_residue_sequence(
     lam: Multipartition, kappa: Multicharge, residues: tuple[int, ...]
 ) -> list[StandardTableau]:
     """Standard tableaux of ``lam`` whose residue sequence equals ``residues``."""
-    if len(lam) != len(kappa):
-        raise ValueError("shape level does not match the multicharge length")
-    if len(residues) != multipartition_size(lam):
-        raise ValueError("residue sequence length does not match the shape size")
-    return [
-        StandardTableau(lam, places)
-        for places, _ in _search(lam, kappa, tuple(residues))
-    ]
+    return [t for t, _ in standard_tableaux_with_degrees(lam, kappa, tuple(residues))]
 
 
 def residue_sequence(t: StandardTableau, kappa: Multicharge) -> tuple[int, ...]:

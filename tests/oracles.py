@@ -1,7 +1,18 @@
 """Independent oracles used by the tests; these deliberately avoid the code
 paths they are checking."""
 
+from functools import lru_cache
 from math import factorial
+
+from qspecht.core import (
+    addable_nodes,
+    contains_node,
+    degree_contribution,
+    empty_multipartition,
+    with_node_added,
+)
+from qspecht.laurent import ZERO, LaurentPoly, q_power
+from qspecht.tableaux import degree, residue_sequence, standard_tableaux
 
 
 def conjugate(p):
@@ -71,3 +82,55 @@ def brute_residue_node_count(p, charge, i):
         for b in range(1, part + 1)
         if (charge + b - a) % 2 == i
     )
+
+
+def literal_truncations(lam, kappa):
+    """The literal definition of graded dimensions, by residue sequence:
+    q^degree(t) summed over ``standard_tableaux(lam)``."""
+    out = {}
+    for t in standard_tableaux(lam):
+        seq = residue_sequence(t, kappa)
+        out[seq] = out.get(seq, ZERO) + q_power(degree(t, kappa))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _growth_steps(mu, kappa):
+    """(node, residue, signed node count in the grown shape, grown shape) for
+    every addable node of ``mu``."""
+    return tuple(
+        (node, i, degree_contribution(grown, kappa, node), grown)
+        for i in (0, 1)
+        for node in addable_nodes(mu, kappa, i)
+        for grown in [with_node_added(mu, node)]
+    )
+
+
+def tableau_truncations(lam, kappa):
+    """The same sum as :func:`literal_truncations`, fast enough for the
+    differential sweeps.
+
+    Every tableau is walked as its path of added nodes from the empty
+    diagram; deg(t) sums the signed node count of each added node in the
+    shape it completes, as `tableaux.degree` does, and the residue sequence
+    lists the added nodes' residues.  The counts are cached per (shape,
+    node), so each tableau costs one step per entry.
+    """
+    counts = {}
+    steps_inside = {}
+
+    def walk(mu, seq, deg):
+        if mu == lam:
+            by_degree = counts.setdefault(seq, {})
+            by_degree[deg] = by_degree.get(deg, 0) + 1
+            return
+        steps = steps_inside.get(mu)
+        if steps is None:
+            steps = steps_inside[mu] = [
+                step for step in _growth_steps(mu, kappa) if contains_node(lam, step[0])
+            ]
+        for _, i, contribution, grown in steps:
+            walk(grown, seq + (i,), deg + contribution)
+
+    walk(empty_multipartition(len(lam)), (), 0)
+    return {seq: LaurentPoly(by_degree) for seq, by_degree in counts.items()}

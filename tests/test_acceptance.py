@@ -17,7 +17,13 @@ from qspecht.core import (
 from qspecht.crystal import restricted_multipartitions
 from qspecht.fock import decomposition_matrix, simple_qdims
 from qspecht.laurent import LaurentPoly, ONE, Q, q_power
-from qspecht.specht import qdim_hecke, qdim_specht, qdim_truncation
+from qspecht.specht import (
+    _shared_memo,
+    qdim_hecke,
+    qdim_specht,
+    qdim_truncation,
+    verify_specht_parity,
+)
 from qspecht.tableaux import degree, row_filled_tableau, tableaux_with_residue_sequence
 from oracles import hook_length_count
 
@@ -42,13 +48,18 @@ def _sweep_cases():
 
 def test_criterion_1_specht_parity_sweep():
     started = time.time()
+    sweeps = [(K0, 18)]
+    sweeps += [(kappa, 12) for kappa in LEVEL_TWO_CHARGES]
+    sweeps += [(kappa, 8) for kappa in product((0, 1), repeat=3)]
     violations = []
-    for lam, kappa in _sweep_cases():
-        if not qdim_specht(lam, kappa).is_pure_parity(degree_parity(lam, kappa)):
-            violations.append((lam, kappa))
+    with _shared_memo():  # one memo per charge across all sizes
+        for kappa, max_d in sweeps:
+            for d in range(max_d + 1):
+                violations += verify_specht_parity(d, kappa).violations
     ok = not violations
     _report(1, "every Specht graded dimension is parity-pure "
-               "(level 1 d<=12; level 2 d<=8, all four charges)", ok, started)
+               "(level 1 d<=18; level 2 d<=12, all four charges; "
+               "level 3 d<=8, all eight charges)", ok, started)
     assert ok, violations
 
 
@@ -60,7 +71,7 @@ def test_criterion_2_row_tableau_degree_parity_sweep():
             violations.append((lam, kappa))
     ok = not violations
     _report(2, "row-filled tableau degree matches the parity statistic "
-               "over the same sweep", ok, started)
+               "(level 1 d<=12; level 2 d<=8, all four charges)", ok, started)
     assert ok, violations
 
 

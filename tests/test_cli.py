@@ -1,5 +1,6 @@
 import json
 
+import pytest
 
 from qspecht.cli import main
 
@@ -53,6 +54,18 @@ def test_tableaux_listing(capsys):
     payload = json.loads(out)
     assert payload["count"] == 4
     assert sorted(t["degree"] for t in payload["tableaux"]) == [-1, 1, 1, 1]
+
+
+def test_tableaux_residue_listing_is_the_filtered_full_listing(capsys):
+    shape = ["--lambda", "3,2|1", "--charge", "0,1", "--format", "json"]
+    _, full = run(capsys, "tableaux", *shape)
+    residues = [0, 1, 1, 0, 0, 1]
+    code, pruned = run(capsys, "tableaux", *shape, "--residues", "0,1,1,0,0,1")
+    assert code == 0
+    expected = [t for t in json.loads(full)["tableaux"] if t["residues"] == residues]
+    assert expected
+    assert json.loads(pruned)["tableaux"] == expected
+    assert json.loads(pruned)["count"] == len(expected)
 
 
 def test_verify_parity(capsys):
@@ -143,3 +156,23 @@ def test_parallel_flag_matches_serial(capsys):
     serial = run(capsys, "verify", "parity", "--d", "5", "--format", "json")
     parallel = run(capsys, "verify", "parity", "--d", "5", "--format", "json", "--parallel")
     assert serial == parallel
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "parity", "--d", "-1"],
+        ["verify", "row-degree", "--d", "-1"],
+        ["verify", "hecke", "--d", "-2"],
+        ["restricted", "--d", "-1"],
+        ["llt", "--d", "-1"],
+        ["adjustment", "--bound", "-3"],
+    ],
+    ids=["parity", "row-degree", "hecke", "restricted", "llt", "adjustment-bound"],
+)
+def test_negative_size_is_usage_error(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and "nonnegative" in captured.err
+    assert captured.out == ""

@@ -1,9 +1,12 @@
+from itertools import product
 from math import factorial
 
 import pytest
 
+from qspecht import specht
 from qspecht.core import degree_parity, multipartitions, partitions
-from qspecht.laurent import LaurentPoly, ONE, Q, q_power
+from qspecht.fock import simple_qdims
+from qspecht.laurent import LaurentPoly, ONE, Q, ZERO, q_power
 from qspecht.specht import (
     crossing_degree,
     qdim_hecke,
@@ -13,7 +16,7 @@ from qspecht.specht import (
     verify_row_degree_parity,
     verify_specht_parity,
 )
-from oracles import hook_length_count
+from oracles import hook_length_count, literal_truncations, tableau_truncations
 
 K0 = (0,)
 
@@ -34,6 +37,50 @@ def test_qdim_specht_counts_tableaux():
     for d in range(9):
         for p in partitions(d):
             assert qdim_specht((p,), K0).eval_at_one() == hook_length_count(p)
+
+
+@pytest.mark.parametrize("level, max_d", [(1, 10), (2, 8), (3, 6)])
+def test_graded_dimensions_match_tableau_sums(level, max_d):
+    """The branching recursion against the sum over tableaux, for every
+    charge; truncations too, on every residue sequence that occurs, for
+    shapes of size at most 7 at levels 1 and 2.  The charges interleave in
+    one shared memo, which must keep them apart."""
+    with specht._shared_memo():
+        for d in range(max_d + 1):
+            for lam in multipartitions(d, level):
+                for kappa in product((0, 1), repeat=level):
+                    by_sequence = tableau_truncations(lam, kappa)
+                    qdim = qdim_specht(lam, kappa)
+                    assert qdim == sum(by_sequence.values(), ZERO), (lam, kappa)
+                    if level <= 2 and d <= 7:
+                        truncations = {
+                            seq: qdim_truncation(lam, kappa, seq) for seq in by_sequence
+                        }
+                        assert truncations == by_sequence, (lam, kappa)
+                        assert sum(truncations.values(), ZERO) == qdim, (lam, kappa)
+
+
+def test_tableau_oracle_is_the_literal_sum():
+    for level, max_d in [(1, 7), (2, 5), (3, 4)]:
+        for d in range(max_d + 1):
+            for lam in multipartitions(d, level):
+                for kappa in product((0, 1), repeat=level):
+                    literal = literal_truncations(lam, kappa)
+                    assert tableau_truncations(lam, kappa) == literal, (lam, kappa)
+
+
+def test_no_memo_outlives_a_call():
+    assert not hasattr(qdim_specht, "cache_info")
+    module_state = {
+        name: value for name, value in vars(specht).items() if not name.startswith("__")
+    }
+    assert verify_specht_parity(6, (0, 1)).ok
+    assert verify_hecke_even(4, (0, 1)).ok
+    assert simple_qdims(6)
+    assert specht._memos.get() is None
+    after = {name: value for name, value in vars(specht).items() if not name.startswith("__")}
+    assert after == module_state
+    assert not any(isinstance(v, (dict, list, set)) for v in after.values())
 
 
 def test_qdim_truncation_examples():
