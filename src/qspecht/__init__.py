@@ -7,7 +7,6 @@ from .core import (
     Partition,
     addable_nodes,
     as_multicharge,
-    as_multipartition,
     as_partition,
     degree_contribution,
     degree_parity,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import adjustment as adj
@@ -66,12 +67,24 @@ def _check_level(args, charge) -> None:
         raise UsageError(f"--level {args.level} does not match charge length {len(charge)}")
 
 
-def _emit(payload: dict, text_lines: list[str], fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
+def _emit(payload: dict | None, text_lines: list[str], fmt: str) -> None:
+    """Print the payload as JSON, or else the text lines.
+
+    A reader that closes the pipe early (``| head``) ends the output, not the
+    command: stdout is pointed at the null device, so nothing more is
+    printed and the exit status stays the command's own.
+    """
+    try:
+        if fmt == "json":
+            print(json.dumps(payload, indent=2, sort_keys=True))
+        else:
+            for line in text_lines:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _cmd_qdim(args) -> int:
@@ -207,8 +220,7 @@ def _cmd_llt(args) -> int:
         for lam in matrix.rows:
             cells = [f'"{matrix.entry(lam, mu)}"' for mu in matrix.cols]
             rows.append(f'"{name(lam)}",' + ",".join(cells))
-        for line in rows:
-            print(line)
+        _emit(None, rows, args.format)
         return 0 if not violations else 1
 
     payload = {

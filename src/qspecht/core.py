@@ -21,6 +21,8 @@ Multicharge = tuple[int, ...]
 Node = tuple[int, int, int]
 
 RESIDUES = (0, 1)
+ADDABLE = "+"
+REMOVABLE = "-"
 
 
 def as_partition(parts: Iterable[int]) -> Partition:
@@ -32,10 +34,6 @@ def as_partition(parts: Iterable[int]) -> Partition:
         if k > 0 and p[k - 1] < part:
             raise ValueError(f"partition parts must be weakly decreasing, got {p!r}")
     return p
-
-
-def as_multipartition(components: Iterable[Iterable[int]]) -> Multipartition:
-    return tuple(as_partition(c) for c in components)
 
 
 def as_multicharge(charges: Iterable[int]) -> Multicharge:
@@ -121,6 +119,29 @@ def removable_nodes(lam: Multipartition, kappa: Multicharge, i: int) -> list[Nod
         for a, b in _removable_cells(comp):
             if (k + b - a) % 2 == i:
                 out.append((a, b, m))
+    return out
+
+
+def signature(lam: Multipartition, kappa: Multicharge, i: int) -> list[tuple[Node, str]]:
+    """Addable ('+') and removable ('-') i-nodes of the diagram, in below-order,
+    from one pass over the rows.
+
+    The end cell of a row and the cell after it have different residues, so
+    each row contributes at most one node, and an addable and a removable
+    i-node never share a row.
+    """
+    out = []
+    for m, comp in enumerate(lam, start=1):
+        k = kappa[m - 1]
+        last = len(comp)
+        for a, part in enumerate(comp, start=1):
+            if (k + part - a) % 2 == i:
+                if a == last or comp[a] < part:
+                    out.append(((a, part, m), REMOVABLE))
+            elif a == 1 or comp[a - 2] > part:
+                out.append(((a, part + 1, m), ADDABLE))
+        if (k - last) % 2 == i:
+            out.append(((last + 1, 1, m), ADDABLE))
     return out
 
 

@@ -14,29 +14,17 @@ test suite pins the convention against that characterisation for d <= 14.
 from __future__ import annotations
 
 from .core import (
+    ADDABLE,
+    REMOVABLE,
+    RESIDUES,
     Multicharge,
     Multipartition,
     Node,
-    RESIDUES,
-    addable_nodes,
     empty_multipartition,
-    removable_nodes,
+    signature as node_signature,
     with_node_added,
     with_node_removed,
 )
-
-ADDABLE = "+"
-REMOVABLE = "-"
-
-
-def node_signature(
-    lam: Multipartition, kappa: Multicharge, i: int
-) -> list[tuple[Node, str]]:
-    """All addable and removable i-nodes, marked and merged in below-order."""
-    marked = [(node, ADDABLE) for node in addable_nodes(lam, kappa, i)]
-    marked += [(node, REMOVABLE) for node in removable_nodes(lam, kappa, i)]
-    marked.sort(key=lambda pair: (pair[0][2], pair[0][0]))
-    return marked
 
 
 def _reduced_signature(

@@ -7,12 +7,16 @@ dimension, exactly):
 
 * the node-adding operator contributes q^(signed node count of the added node
   in the grown shape), so monomial exponents match tableau-degree increments;
+  every such count is read off one reversed scan of the i-signature of the
+  shape before the node is added (see :func:`induct`);
 * ladders for quantum characteristic 2 are the diagonals row+column-1, read
   in increasing order; each carries a single residue;
 * canonical-basis elements are computed per 2-restricted shape in descending
   reverse-lexicographic order (a linear extension of dominance), subtracting
   bar-symmetric multiples of earlier elements until every off-leading
-  coefficient has positive exponents only.
+  coefficient has positive exponents only.  Each column continues the
+  previous column's ladder path from the longest common prefix of the two
+  ladder words, so no prefix is induced twice.
 
 Any convention mismatch surfaces as :class:`InternalConsistencyError`, never
 as silently wrong numbers.
@@ -23,16 +27,8 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 
-from .core import (
-    Multicharge,
-    Partition,
-    addable_nodes,
-    degree_contribution,
-    is_2_restricted,
-    partitions,
-    with_node_added,
-)
-from .laurent import LaurentPoly, ONE, ZERO, q_factorial, q_power
+from .core import REMOVABLE, Multicharge, Partition, is_2_restricted, partitions, signature
+from .laurent import LaurentPoly, ONE, ZERO, q_factorial
 
 
 class InternalConsistencyError(Exception):
@@ -66,6 +62,13 @@ class FockVector:
         self._terms = clean
 
     @classmethod
+    def _adopt(cls, terms: dict[Partition, LaurentPoly]) -> "FockVector":
+        """Take ``terms``, which has no zero coefficient, without copying it."""
+        out = cls.__new__(cls)
+        out._terms = terms
+        return out
+
+    @classmethod
     def basis(cls, mu: Partition) -> "FockVector":
         return cls({mu: ONE})
 
@@ -95,12 +98,33 @@ class FockVector:
                 terms[mu] = total
             elif mu in terms:
                 del terms[mu]
-        out = FockVector.__new__(FockVector)
-        out._terms = terms
-        return out
+        return FockVector._adopt(terms)
+
+    def sub_scaled(self, gamma: LaurentPoly, other: "FockVector") -> "FockVector":
+        """``self - gamma * other`` in one pass over the terms of ``other``,
+        each coefficient built once, with no intermediate product."""
+        scale = [(e, -x) for e, x in gamma.terms()]
+        terms = dict(self._terms)
+        for mu, c in other._terms.items():
+            old = terms.get(mu)
+            acc = dict(old.terms()) if old is not None else {}
+            product = c.terms()
+            for e1, x1 in scale:
+                for e2, x2 in product:
+                    e = e1 + e2
+                    total = acc.get(e, 0) + x1 * x2
+                    if total:
+                        acc[e] = total
+                    else:
+                        del acc[e]
+            if acc:
+                terms[mu] = LaurentPoly.from_clean(acc)
+            elif old is not None:
+                del terms[mu]
+        return FockVector._adopt(terms)
 
     def __sub__(self, other: "FockVector") -> "FockVector":
-        return self + (-1) * other
+        return self.sub_scaled(ONE, other)
 
     def __mul__(self, scalar: LaurentPoly | int) -> "FockVector":
         if isinstance(scalar, int):
@@ -117,20 +141,40 @@ class FockVector:
 
 
 def induct(v: FockVector, kappa: Multicharge, i: int) -> FockVector:
-    """Apply the q-deformed i-node-adding operator to every term."""
+    """Apply the q-deformed i-node-adding operator to every term.
+
+    Adding the i-node A to mu contributes q^(signed count of A in mu+A).  An
+    addable and a removable i-node never share a row, and adding A changes
+    only nodes of the other residue, so that count is the number of '+'
+    minus the number of '-' strictly after A in the i-signature of mu.  One
+    reversed scan of the signature gives every shift, and each coefficient's
+    exponents are shifted, not multiplied.
+    """
     _require_level_one(kappa)
-    acc: dict[Partition, LaurentPoly] = {}
-    for mu, c in v.items():
-        for node in addable_nodes((mu,), kappa, i):
-            grown = with_node_added((mu,), node)
-            weight = c * q_power(degree_contribution(grown, kappa, node))
-            target = grown[0]
-            total = acc.get(target, ZERO) + weight
-            if total:
-                acc[target] = total
-            elif target in acc:
-                del acc[target]
-    return FockVector(acc)
+    acc: dict[Partition, dict[int, int]] = {}
+    for mu, c in v._terms.items():
+        terms = c.terms()
+        count = 0
+        for (a, b, _), mark in reversed(signature((mu,), kappa, i)):
+            if mark == REMOVABLE:
+                count -= 1
+                continue
+            grown = mu + (1,) if b == 1 else mu[: a - 1] + (b,) + mu[a:]
+            target = acc.get(grown)
+            if target is None:
+                acc[grown] = {e + count: x for e, x in terms}
+            else:
+                for e, x in terms:
+                    e += count
+                    total = target.get(e, 0) + x
+                    if total:
+                        target[e] = total
+                    else:
+                        del target[e]
+            count += 1
+    return FockVector._adopt(
+        {mu: LaurentPoly.from_clean(poly) for mu, poly in acc.items() if poly}
+    )
 
 
 def divided_induct(v: FockVector, kappa: Multicharge, i: int, k: int) -> FockVector:
@@ -149,14 +193,14 @@ def divided_induct(v: FockVector, kappa: Multicharge, i: int, k: int) -> FockVec
         return out
     divisor = q_factorial(k)
     divided: dict[Partition, LaurentPoly] = {}
-    for mu, c in out.items():
+    for mu, c in out._terms.items():
         try:
             divided[mu] = c.exact_div(divisor)
         except ValueError as exc:
             raise InternalConsistencyError(
                 f"coefficient {c} of {mu} is not divisible by [{k}]!"
             ) from exc
-    return FockVector(divided)
+    return FockVector._adopt(divided)
 
 
 def ladder_word(mu: Partition, charge: int = 0) -> list[tuple[int, int]]:
@@ -186,13 +230,41 @@ def ladder_vector(mu: Partition, kappa: Multicharge = (0,)) -> FockVector:
     return v
 
 
+def _ladder_vectors(
+    columns: list[Partition], kappa: Multicharge
+) -> Iterator[tuple[Partition, FockVector]]:
+    """``(mu, ladder_vector(mu, kappa))`` for each column, in order.
+
+    Each column continues from the vectors of the ladder-word prefix it
+    shares with the previous column, and keeps only those of the prefix it
+    shares with the next one.  In reverse-lexicographic order the columns
+    through any prefix are consecutive, so no prefix is induced twice, and
+    at most one word's vectors are held.
+    """
+    words = [ladder_word(mu, kappa[0]) for mu in columns]
+    path: list[FockVector] = []  # the vectors of the prefix shared with this word
+    for j, (mu, word) in enumerate(zip(columns, words)):
+        following = words[j + 1] if j + 1 < len(words) else []
+        shared = 0
+        while shared < min(len(word), len(following)) and word[shared] == following[shared]:
+            shared += 1
+        v = path[-1] if path else FockVector.basis(())
+        for n in range(len(path), len(word)):
+            i, k = word[n]
+            v = divided_induct(v, kappa, i, k)
+            if n < shared:
+                path.append(v)
+        del path[shared:]
+        yield mu, v
+
+
 def _bar_symmetric_low_part(c: LaurentPoly) -> LaurentPoly:
     """The unique bar-symmetric polynomial matching ``c`` in degrees <= 0."""
-    gamma = LaurentPoly({0: c.coefficient(0)})
-    for e in c.support():
-        if e < 0:
-            gamma = gamma + LaurentPoly({e: c.coefficient(e), -e: c.coefficient(e)})
-    return gamma
+    low: dict[int, int] = {}
+    for e, x in c.terms():
+        if e <= 0:
+            low[e] = low[-e] = x
+    return LaurentPoly.from_clean(low)
 
 
 def canonical_basis(
@@ -209,8 +281,7 @@ def canonical_basis(
     built: dict[Partition, FockVector] = {}
     order: list[Partition] = []
     out: list[tuple[Partition, FockVector]] = []
-    for mu in restricted:
-        v = ladder_vector(mu, kappa)
+    for mu, v in _ladder_vectors(restricted, kappa):
         steps = 0
         while True:
             offender = None
@@ -221,7 +292,7 @@ def canonical_basis(
                     break
             if offender is None:
                 break
-            v = v - _bar_symmetric_low_part(v.coefficient(offender)) * built[offender]
+            v = v.sub_scaled(_bar_symmetric_low_part(v.coefficient(offender)), built[offender])
             steps += 1
             if steps > 2 * len(order) + 2:
                 raise InternalConsistencyError(
@@ -231,8 +302,8 @@ def canonical_basis(
             raise InternalConsistencyError(
                 f"leading coefficient at {mu} is {v.coefficient(mu)}, expected 1"
             )
-        for nu, c in v.items():
-            if nu != mu and (c.min_exponent() < 1 or any(x < 0 for _, x in c.to_pairs())):
+        for nu, c in v._terms.items():
+            if nu != mu and (c.min_exponent() < 1 or any(x < 0 for _, x in c.terms())):
                 raise InternalConsistencyError(
                     f"coefficient {c} at {nu} in the vector for {mu} "
                     "is outside q-positive range"

@@ -6,7 +6,7 @@ structural equality is mathematical equality and instances can be dict keys.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import ItemsView, Iterable, Mapping
 from dataclasses import dataclass
 
 
@@ -27,6 +27,15 @@ class LaurentPoly:
         self._hash: int | None = None
 
     @classmethod
+    def from_clean(cls, terms: dict[int, int]) -> "LaurentPoly":
+        """Adopt ``terms`` without copying or checking: integer exponents and
+        coefficients, no zero coefficient.  The caller gives up the dict."""
+        out = cls.__new__(cls)
+        out._terms = terms
+        out._hash = None
+        return out
+
+    @classmethod
     def monomial(cls, exponent: int, coefficient: int = 1) -> "LaurentPoly":
         return cls({exponent: coefficient})
 
@@ -37,6 +46,10 @@ class LaurentPoly:
     def to_pairs(self) -> list[list[int]]:
         """JSON form: [exponent, coefficient] pairs, ascending by exponent."""
         return [[e, self._terms[e]] for e in sorted(self._terms)]
+
+    def terms(self) -> ItemsView[int, int]:
+        """(exponent, coefficient) pairs in no particular order."""
+        return self._terms.items()
 
     def coefficient(self, exponent: int) -> int:
         return self._terms.get(exponent, 0)
@@ -77,10 +90,7 @@ class LaurentPoly:
                 terms[e] = new
             elif e in terms:
                 del terms[e]
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = terms
-        out._hash = None
-        return out
+        return LaurentPoly.from_clean(terms)
 
     __radd__ = __add__
 
@@ -111,10 +121,7 @@ class LaurentPoly:
                     terms[e] = new
                 elif e in terms:
                     del terms[e]
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = terms
-        out._hash = None
-        return out
+        return LaurentPoly.from_clean(terms)
 
     __rmul__ = __mul__
 

@@ -9,6 +9,7 @@ from qspecht.core import (
     contains_node,
     degree_contribution,
     empty_multipartition,
+    removable_nodes,
     with_node_added,
 )
 from qspecht.laurent import ZERO, LaurentPoly, q_power
@@ -82,6 +83,15 @@ def brute_residue_node_count(p, charge, i):
         for b in range(1, part + 1)
         if (charge + b - a) % 2 == i
     )
+
+
+def node_signature(lam, kappa, i):
+    """The i-signature as two lists merged by a sort: addable nodes marked
+    '+', removable ones '-', in below-order."""
+    marked = [(node, "+") for node in addable_nodes(lam, kappa, i)]
+    marked += [(node, "-") for node in removable_nodes(lam, kappa, i)]
+    marked.sort(key=lambda pair: (pair[0][2], pair[0][0]))
+    return marked
 
 
 def literal_truncations(lam, kappa):

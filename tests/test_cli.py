@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -176,3 +180,22 @@ def test_negative_size_is_usage_error(capsys, argv):
     assert code == 2
     assert captured.err.startswith("error: ") and "nonnegative" in captured.err
     assert captured.out == ""
+
+
+def test_reader_closing_the_pipe_early_is_not_an_error():
+    # the listing is larger than a pipe buffer, so the writer is still
+    # printing when the reader goes away
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qspecht", "restricted", "--d", "30", "--charge", "0,1"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline() == b"count: 3056\n"
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert b"Traceback" not in stderr

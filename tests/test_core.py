@@ -1,4 +1,6 @@
 
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -20,6 +22,7 @@ from qspecht.core import (
     removable_nodes,
     residue_node_count,
     residue_of,
+    signature,
     with_node_added,
     with_node_removed,
     young_nodes,
@@ -28,6 +31,7 @@ from oracles import (
     brute_even_column_node_count,
     brute_residue_node_count,
     even_column_node_count,
+    node_signature,
     partition_count,
 )
 
@@ -112,6 +116,17 @@ def test_node_lists_in_below_order():
         for nodes in (addable_nodes(lam, kappa, i), removable_nodes(lam, kappa, i)):
             for earlier, later in zip(nodes, nodes[1:]):
                 assert is_below(later, earlier)
+
+
+def test_signature_matches_two_lists_and_sort():
+    for level, max_d in ((1, 9), (2, 9), (3, 6)):
+        for kappa in itertools.product((0, 1), repeat=level):
+            for d in range(max_d + 1):
+                for lam in multipartitions(d, level):
+                    for i in (0, 1):
+                        assert signature(lam, kappa, i) == node_signature(lam, kappa, i), (
+                            lam, kappa, i,
+                        )
 
 
 def test_degree_contribution_examples():

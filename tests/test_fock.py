@@ -1,6 +1,18 @@
+import hashlib
+import json
+
 import pytest
 
-from qspecht.core import degree_parity, is_2_restricted, partitions
+from qspecht import fock
+
+from qspecht.core import (
+    addable_nodes,
+    degree_contribution,
+    degree_parity,
+    is_2_restricted,
+    partitions,
+    with_node_added,
+)
 from qspecht.fock import (
     FockVector,
     canonical_basis,
@@ -162,3 +174,108 @@ def test_matrix_json_shape():
     assert blob["rows"] == ["3", "2,1", "1,1,1"]
     assert blob["cols"] == ["2,1", "1,1,1"]
     assert blob["entries"][0][1] == [[1, 1]]  # coefficient q at ((3), (1^3))
+
+
+# sha256 of json.dumps(decomposition_matrix(d, (c,)).to_json(), sort_keys=True),
+# recorded from the implementation that built every column from the empty
+# diagram and multiplied each coefficient by q^(signed count)
+FROZEN_MATRIX_SHA256 = {
+    (0, 0): "a3711d23d25996f2ea3d82f729c8150a08004322c0f9b2a86bce6350e3e63362",
+    (1, 0): "049926dd95e224e9ef10d4b4b1bc1784b5ebef47559c40945185d4abc7e04ff7",
+    (2, 0): "69a07483790da7d7c2476246f695b201b111118a3574f1de7acc2ad71c08d53a",
+    (3, 0): "fcac8ec52681104a752964c57df74be1380346b54095cdc12760ca4943fb5b4b",
+    (4, 0): "e9cf551c3e1cb74a166f60c5f29484c46ac30b02cd7f61b63319ec46a906a3a6",
+    (5, 0): "50c91c4ff55f542d49ab9f4e4a4e4c9519b51a499ef3afee6a2adab366ce1505",
+    (6, 0): "5073ae46679c68919cdacb7ecd7bb1bc130562581c7b86a6484ea36fd3b6a83f",
+    (7, 0): "7a459da4f1b283abedbcfe2c034a65b1516d0422d53b285aa3fb5d1d1e1f088f",
+    (8, 0): "d76d2bf45b7e6b1c4841b66ab453e793d5d5fc0cfe664663ae4be8c5219f099f",
+    (9, 0): "53542808ecb90c1292daaf423f11caf7bed99316c22f6ebec5841b2f539515cb",
+    (10, 0): "8822239ddf6c1ce18f4c8c9a13eda104e7e3f4a24fd37f79fc521565fcbe7e3d",
+    (11, 0): "05e9d2130d52579afe420adc738fcccfd5e6cc4f71ae48095378e86366ce0e7d",
+    (12, 0): "f9d8068f9d87b1d30ffe343946ec19f9bd89e71d6b37e05c029efc45f10373f8",
+    (13, 0): "388c6968c40e5bef2308f9b201d4ecf393a70611b5c10445ef078de45b4d80f5",
+    (14, 0): "ac1b5049a50ce74f078cc58772120d2c25aaf1ca6fe94e09bb00345a4a2387ad",
+    (15, 0): "b5ebea5c442dffee8a3e213cf7dd0012f2201ed63ea11147624635e3fcf13462",
+    (16, 0): "31a8e7b4414d5e8267918cbb7d90bf0268882e77561abec5c4565efad2cbeda7",
+    (17, 0): "ce4fd3c065981ca072293f2a14bcab0c521f13dbdfccb25f798e0ae08c4a2c0b",
+    (18, 0): "7b9a564751f3b635c113683b188182cb5244ad4181486789004adce482048a77",
+    (19, 0): "be3d162691fc38dded94fd5da784be01c5b0241668c4a3b7b788af184970e96b",
+    (20, 0): "e3814a17d9fdc7064dbaf0f0bc37f8c9b700c4dbc9a10712f34ffced1ebec4b3",
+    (0, 1): "a3711d23d25996f2ea3d82f729c8150a08004322c0f9b2a86bce6350e3e63362",
+    (1, 1): "049926dd95e224e9ef10d4b4b1bc1784b5ebef47559c40945185d4abc7e04ff7",
+    (2, 1): "69a07483790da7d7c2476246f695b201b111118a3574f1de7acc2ad71c08d53a",
+    (3, 1): "fcac8ec52681104a752964c57df74be1380346b54095cdc12760ca4943fb5b4b",
+    (4, 1): "e9cf551c3e1cb74a166f60c5f29484c46ac30b02cd7f61b63319ec46a906a3a6",
+    (5, 1): "50c91c4ff55f542d49ab9f4e4a4e4c9519b51a499ef3afee6a2adab366ce1505",
+    (6, 1): "5073ae46679c68919cdacb7ecd7bb1bc130562581c7b86a6484ea36fd3b6a83f",
+    (7, 1): "7a459da4f1b283abedbcfe2c034a65b1516d0422d53b285aa3fb5d1d1e1f088f",
+    (8, 1): "d76d2bf45b7e6b1c4841b66ab453e793d5d5fc0cfe664663ae4be8c5219f099f",
+    (9, 1): "53542808ecb90c1292daaf423f11caf7bed99316c22f6ebec5841b2f539515cb",
+    (10, 1): "8822239ddf6c1ce18f4c8c9a13eda104e7e3f4a24fd37f79fc521565fcbe7e3d",
+    (11, 1): "05e9d2130d52579afe420adc738fcccfd5e6cc4f71ae48095378e86366ce0e7d",
+    (12, 1): "f9d8068f9d87b1d30ffe343946ec19f9bd89e71d6b37e05c029efc45f10373f8",
+    (13, 1): "388c6968c40e5bef2308f9b201d4ecf393a70611b5c10445ef078de45b4d80f5",
+    (14, 1): "ac1b5049a50ce74f078cc58772120d2c25aaf1ca6fe94e09bb00345a4a2387ad",
+    (15, 1): "b5ebea5c442dffee8a3e213cf7dd0012f2201ed63ea11147624635e3fcf13462",
+    (16, 1): "31a8e7b4414d5e8267918cbb7d90bf0268882e77561abec5c4565efad2cbeda7",
+    (17, 1): "ce4fd3c065981ca072293f2a14bcab0c521f13dbdfccb25f798e0ae08c4a2c0b",
+    (18, 1): "7b9a564751f3b635c113683b188182cb5244ad4181486789004adce482048a77",
+    (19, 1): "be3d162691fc38dded94fd5da784be01c5b0241668c4a3b7b788af184970e96b",
+    (20, 1): "e3814a17d9fdc7064dbaf0f0bc37f8c9b700c4dbc9a10712f34ffced1ebec4b3",
+}
+
+
+def test_decomposition_matrices_match_frozen_digests():
+    for (d, c), expected in FROZEN_MATRIX_SHA256.items():
+        blob = json.dumps(decomposition_matrix(d, (c,)).to_json(), sort_keys=True)
+        assert hashlib.sha256(blob.encode()).hexdigest() == expected, (d, c)
+
+
+def test_induct_shifts_are_the_signed_counts():
+    for d in range(16):
+        for mu in partitions(d):
+            for c in (0, 1):
+                for i in (0, 1):
+                    expected = {}
+                    for node in addable_nodes((mu,), (c,), i):
+                        grown = with_node_added((mu,), node)
+                        count = degree_contribution(grown, (c,), node)
+                        expected[grown[0]] = q_power(count)
+                    got = induct(FockVector.basis(mu), (c,), i)
+                    assert got == FockVector(expected), (mu, c, i)
+
+
+def distinct_ladder_prefixes(d, charge=0):
+    prefixes = set()
+    for mu in partitions(d):
+        if is_2_restricted(mu):
+            word = tuple(ladder_word(mu, charge))
+            prefixes.update(word[:n] for n in range(1, len(word) + 1))
+    return prefixes
+
+
+def test_columns_reuse_the_previous_ladder_path(monkeypatch):
+    # one divided power per distinct non-empty ladder-word prefix, and one
+    # induct per unit of its multiplicity: no prefix is computed twice
+    calls = {"divided_induct": 0, "induct": 0}
+    for name in calls:
+        original = getattr(fock, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(fock, name, counting)
+    canonical_basis(14)
+    prefixes = distinct_ladder_prefixes(14)
+    assert calls["divided_induct"] == len(prefixes) == 109
+    assert calls["induct"] == sum(prefix[-1][1] for prefix in prefixes) == 138
+
+
+def test_pre_elimination_vectors_are_the_ladder_vectors():
+    for c in (0, 1):
+        restricted = [mu for mu in partitions(12) if is_2_restricted(mu)]
+        columns = list(fock._ladder_vectors(restricted, (c,)))
+        assert [mu for mu, _ in columns] == restricted
+        for mu, v in columns:
+            assert v == ladder_vector(mu, (c,)), (mu, c)
