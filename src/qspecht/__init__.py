@@ -45,7 +45,6 @@ from .specht import (
 from .crystal import (
     add_good_node,
     node_signature,
-    remove_good_node,
     restricted_multipartitions,
 )
 from .fock import (

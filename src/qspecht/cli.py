@@ -199,17 +199,17 @@ def _cmd_llt(args) -> int:
     _check_nonnegative(args.d, "--d")
     matrix = decomposition_matrix(args.d, charge)
     simples = simple_qdims(args.d, charge, matrix)
+    parity = {lam: degree_parity((lam,), charge) for lam in (*matrix.rows, *matrix.cols)}
     violations = []
     for lam in matrix.rows:
         for mu in matrix.cols:
             entry = matrix.entry(lam, mu)
-            parity = (degree_parity((lam,), charge) + degree_parity((mu,), charge)) % 2
-            if not entry.is_pure_parity(parity):
+            if not entry.is_pure_parity((parity[lam] + parity[mu]) % 2):
                 violations.append(f"entry ({lam}, {mu}) = {entry} impure")
     for mu, poly in simples.items():
         if not poly.is_bar_symmetric():
             violations.append(f"simple qdim for {mu} not bar-symmetric: {poly}")
-        if not poly.is_pure_parity(degree_parity((mu,), charge)):
+        if not poly.is_pure_parity(parity[mu]):
             violations.append(f"simple qdim for {mu} impure: {poly}")
 
     def name(p):
@@ -254,6 +254,8 @@ def _cmd_llt(args) -> int:
 
 def _cmd_adjustment(args) -> int:
     charge = _parse_charge(args.charge)
+    if len(charge) != 1:
+        raise UsageError("the published adjustment evidence is level-1 only")
     _check_nonnegative(args.bound, "--bound")
     reports = [
         adj.evidence_report(ev, charge, args.bound) for ev in adj.published_evidence()

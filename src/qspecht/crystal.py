@@ -4,62 +4,95 @@ Convention, fixed here and used everywhere: for a residue i, list all addable
 ('+') and removable ('-') i-nodes in below-order (first component's top row
 first).  Scan the list downwards, cancelling each removable node against the
 nearest surviving addable node *below* it.  The good addable node is the
-lowest surviving '+'; the good removable node is the highest surviving '-'.
+lowest surviving '+'.
 
 This is the reading direction under which, at level 1, the multipartitions
 reachable from the empty one are exactly the 2-restricted partitions; the
 test suite pins the convention against that characterisation for d <= 14.
+
+The cancellation is associative, and what survives of any stretch of the
+signature has the form +^A -^B.  So each component is summarised, once per
+residue, by its A, its B and its lowest surviving '+', and the good node of a
+multipartition comes from one pass over its components' summaries.  The
+summaries are memoized by (charge, component) for the length of one
+:func:`restricted_multipartitions` call.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from contextlib import contextmanager
+from contextvars import ContextVar
+
 from .core import (
     ADDABLE,
-    REMOVABLE,
     RESIDUES,
     Multicharge,
     Multipartition,
-    Node,
+    Partition,
     empty_multipartition,
     signature as node_signature,
     with_node_added,
-    with_node_removed,
 )
 
+# (A, B, row, column) for one residue: the component's surviving word is
+# +^A -^B, and (row, column) is its lowest surviving '+' when A > 0.
+Summary = tuple[int, int, int, int]
+# memo[k] maps each component of charge k (mod 2) to its summaries for
+# residues 0 and 1; memo[2] interns equal pairs, so each is stored once.
+Memo = tuple[dict, dict, dict]
+_memo: ContextVar[Memo | None] = ContextVar("qspecht_crystal_summaries", default=None)
 
-def _reduced_signature(
-    lam: Multipartition, kappa: Multicharge, i: int
-) -> list[tuple[Node, str]]:
-    stack: list[tuple[Node, str]] = []
-    for node, mark in node_signature(lam, kappa, i):
-        if mark == ADDABLE and stack and stack[-1][1] == REMOVABLE:
-            stack.pop()
+
+def _new_memo() -> Memo:
+    return {}, {}, {}
+
+
+@contextmanager
+def _shared_summaries() -> Iterator[None]:
+    """Let the add_good_node calls inside the block share one memo."""
+    token = _memo.set(_new_memo())
+    try:
+        yield
+    finally:
+        _memo.reset(token)
+
+
+def _summary(comp: Partition, k: int, i: int) -> Summary:
+    """Reduce the i-signature of one component of charge k."""
+    A = B = row = column = 0
+    for (a, b, _), mark in node_signature((comp,), (k,), i):
+        if mark != ADDABLE:
+            B += 1
+        elif B:
+            B -= 1
         else:
-            stack.append((node, mark))
-    return stack
+            A, row, column = A + 1, a, b
+    return A, B, row, column
 
 
 def add_good_node(
     lam: Multipartition, kappa: Multicharge, i: int
 ) -> Multipartition | None:
     """Add the good addable i-node, or return None if there is none."""
-    survivors = [node for node, mark in _reduced_signature(lam, kappa, i) if mark == ADDABLE]
-    if not survivors:
+    memo = _memo.get() or _new_memo()
+    pending = 0
+    good = None
+    for m, comp in enumerate(lam, start=1):
+        k = kappa[m - 1] % 2
+        pair = memo[k].get(comp)
+        if pair is None:
+            pair = tuple(_summary(comp, k, r) for r in RESIDUES)
+            pair = memo[k][comp] = memo[2].setdefault(pair, pair)
+        A, B, row, column = pair[i]
+        if A > pending:
+            good = (row, column, m)
+            pending = B
+        else:
+            pending += B - A
+    if good is None:
         return None
-    return with_node_added(lam, survivors[-1])
-
-
-def remove_good_node(
-    lam: Multipartition, kappa: Multicharge, i: int
-) -> Multipartition | None:
-    """Remove the good removable i-node, or return None if there is none.
-
-    Inverse to :func:`add_good_node` wherever the latter is defined.
-    """
-    survivors = [node for node, mark in _reduced_signature(lam, kappa, i) if mark == REMOVABLE]
-    if not survivors:
-        return None
-    return with_node_removed(lam, survivors[0])
+    return with_node_added(lam, good)
 
 
 def restricted_multipartitions(d: int, kappa: Multicharge) -> set[Multipartition]:
@@ -68,12 +101,13 @@ def restricted_multipartitions(d: int, kappa: Multicharge) -> set[Multipartition
     if d < 0:
         raise ValueError("size must be nonnegative")
     layer: set[Multipartition] = {empty_multipartition(len(kappa))}
-    for _ in range(d):
-        grown = set()
-        for lam in layer:
-            for i in RESIDUES:
-                bigger = add_good_node(lam, kappa, i)
-                if bigger is not None:
-                    grown.add(bigger)
-        layer = grown
+    with _shared_summaries():
+        for _ in range(d):
+            grown = set()
+            for lam in layer:
+                for i in RESIDUES:
+                    bigger = add_good_node(lam, kappa, i)
+                    if bigger is not None:
+                        grown.add(bigger)
+            layer = grown
     return layer

@@ -11,6 +11,7 @@ from qspecht.core import (
     empty_multipartition,
     removable_nodes,
     with_node_added,
+    with_node_removed,
 )
 from qspecht.laurent import ZERO, LaurentPoly, q_power
 from qspecht.tableaux import degree, residue_sequence, standard_tableaux
@@ -92,6 +93,32 @@ def node_signature(lam, kappa, i):
     marked += [(node, "-") for node in removable_nodes(lam, kappa, i)]
     marked.sort(key=lambda pair: (pair[0][2], pair[0][0]))
     return marked
+
+
+def reduced_signature(lam, kappa, i):
+    """The i-signature after the literal stack reduction: scanning
+    downwards, each '+' cancels the nearest surviving '-' above it."""
+    stack = []
+    for node, mark in node_signature(lam, kappa, i):
+        if mark == "+" and stack and stack[-1][1] == "-":
+            stack.pop()
+        else:
+            stack.append((node, mark))
+    return stack
+
+
+def add_good_node(lam, kappa, i):
+    """Add the lowest surviving '+' of the reduced i-signature, or return
+    None if there is none."""
+    survivors = [node for node, mark in reduced_signature(lam, kappa, i) if mark == "+"]
+    return with_node_added(lam, survivors[-1]) if survivors else None
+
+
+def remove_good_node(lam, kappa, i):
+    """Remove the highest surviving '-' of the reduced i-signature, or
+    return None if there is none."""
+    survivors = [node for node, mark in reduced_signature(lam, kappa, i) if mark == "-"]
+    return with_node_removed(lam, survivors[0]) if survivors else None
 
 
 def literal_truncations(lam, kappa):

@@ -1,3 +1,6 @@
+import contextlib
+import hashlib
+import io
 import json
 import os
 import subprocess
@@ -5,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qspecht.cli import main
 
@@ -120,6 +124,26 @@ def test_llt_csv(capsys):
     assert lines[1] == '"3","0","q"'
 
 
+# sha256 of the stdout of `llt --d 12 --charge c --format f`, recorded from the
+# implementation that computed the parity of both shapes for every cell
+FROZEN_LLT_12_SHA256 = {
+    ("0", "text"): "a7e67bae90598abce22223479c67aa2cf9983a9f6598e3f83d276a793da5ec4d",
+    ("0", "json"): "06162b05aba2005ea0282cb98f73ee51ed2f5b1e5d4df0c25c57618d98a42684",
+    ("0", "csv"): "a80396bde59d3546562f480b61ef22233739d342146527c17646690784e810bc",
+    ("1", "text"): "a7e67bae90598abce22223479c67aa2cf9983a9f6598e3f83d276a793da5ec4d",
+    ("1", "json"): "72fbee460b2b19dab5f09a260f9e1c1aeafa3361bf736e14c5ee4580d157f23a",
+    ("1", "csv"): "a80396bde59d3546562f480b61ef22233739d342146527c17646690784e810bc",
+}
+
+
+@pytest.mark.parametrize("charge,fmt", sorted(FROZEN_LLT_12_SHA256))
+def test_llt_output_matches_frozen_digest(capsys, charge, fmt):
+    code, out = run(capsys, "llt", "--d", "12", "--charge", charge, "--format", fmt)
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == FROZEN_LLT_12_SHA256[charge, fmt]
+
+
 def test_adjustment_text(capsys):
     code, out = run(capsys, "adjustment")
     assert code == 0
@@ -199,3 +223,54 @@ def test_reader_closing_the_pipe_early_is_not_an_error():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 0
     assert b"Traceback" not in stderr
+
+
+CHARGES = ["0", "1", "0,1", "1,1,0", "", "2", "-1", "0,,1", "a", " 1 , 0 "]
+SHAPES = ["", "-", "2,1", "3,1,1", "1,2", "2|1", "2,1|-", "-|1,1|1", "|", "0", "-1", "a", "2;1"]
+RESIDUE_TEXTS = ["", "0", "0,1,1", "0,1,0,1", "1,0,1,0,1", "2", "0,a", ","]
+SIZES = [str(d) for d in range(-3, 7)] + ["", "x", "1.5"]
+
+
+def _flat(parts):
+    return [token for part in parts for token in part]
+
+
+_common = st.lists(
+    st.one_of(
+        st.tuples(st.just("--charge"), st.sampled_from(CHARGES)),
+        st.tuples(st.just("--format"), st.sampled_from(["text", "json", "csv", "xml"])),
+        st.tuples(st.just("--level"), st.sampled_from(["-1", "0", "1", "2", "3", "z"])),
+    ),
+    max_size=3,
+).map(_flat)
+_shape = st.tuples(st.just("--lambda"), st.sampled_from(SHAPES))
+_residues = st.tuples(st.just("--residues"), st.sampled_from(RESIDUE_TEXTS))
+_size = st.tuples(st.just("--d"), st.sampled_from(SIZES))
+_command = st.one_of(
+    st.tuples(st.just(("qdim",)), _shape),
+    st.tuples(st.just(("truncate",)), _shape, _residues),
+    st.tuples(st.just(("tableaux",)), _shape, st.one_of(st.just(()), _residues)),
+    st.tuples(st.tuples(st.just("verify"), st.sampled_from(["parity", "row-degree", "hecke", "x"])), _size),
+    st.tuples(st.just(("restricted",)), _size),
+    st.tuples(st.just(("llt",)), _size),
+    st.tuples(
+        st.just(("adjustment",)),
+        st.one_of(st.just(()), st.tuples(st.just("--bound"), st.sampled_from(SIZES))),
+    ),
+    st.just(()),
+).map(_flat)
+ARGV = st.tuples(_command, _common).map(lambda drawn: drawn[0] + drawn[1])
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(ARGV)
+@example(["adjustment", "--charge", "0,1"])  # once a traceback
+def test_argv_fuzz_keeps_the_exit_code_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv

@@ -1,12 +1,12 @@
+import hashlib
+import itertools
+
 import pytest
 
+import oracles
+from qspecht import crystal
 from qspecht.core import is_2_restricted, multipartition_size, multipartitions, partitions
-from qspecht.crystal import (
-    add_good_node,
-    node_signature,
-    remove_good_node,
-    restricted_multipartitions,
-)
+from qspecht.crystal import add_good_node, node_signature, restricted_multipartitions
 
 K0 = (0,)
 
@@ -40,13 +40,51 @@ def test_remove_inverts_add():
             for i in (0, 1):
                 grown = add_good_node(lam, K0, i)
                 if grown is not None:
-                    assert remove_good_node(grown, K0, i) == lam
+                    assert oracles.remove_good_node(grown, K0, i) == lam
     for d in range(5):
         for lam in multipartitions(d, 2):
             for i in (0, 1):
                 grown = add_good_node(lam, (0, 1), i)
                 if grown is not None:
-                    assert remove_good_node(grown, (0, 1), i) == lam
+                    assert oracles.remove_good_node(grown, (0, 1), i) == lam
+
+
+@pytest.mark.parametrize("level,top", [(1, 8), (2, 8), (3, 6), (4, 4)])
+def test_add_good_node_matches_the_stack_reduction(level, top):
+    for kappa in itertools.product((0, 1), repeat=level):
+        cases = []
+        for d in range(top + 1):
+            for lam in multipartitions(d, level):
+                for i in (0, 1):
+                    cases.append((lam, i, oracles.add_good_node(lam, kappa, i)))
+        with crystal._shared_summaries():
+            for lam, i, grown in cases:
+                assert add_good_node(lam, kappa, i) == grown, (lam, kappa, i)
+        assert crystal._memo.get() is None
+        for lam, i, grown in cases:
+            assert add_good_node(lam, kappa, i) == grown, (lam, kappa, i)
+
+
+def test_charges_count_modulo_two():
+    for d in range(6):
+        for lam in multipartitions(d, 2):
+            for i in (0, 1):
+                expected = oracles.add_good_node(lam, (2, -1), i)
+                assert add_good_node(lam, (2, -1), i) == expected, (lam, i)
+
+
+def test_closure_memo_lives_for_one_call(monkeypatch):
+    assert restricted_multipartitions(6, (0, 1))
+    assert crystal._memo.get() is None
+
+    def failing(lam, kappa, i):
+        assert crystal._memo.get() is not None
+        raise RuntimeError("stop")
+
+    monkeypatch.setattr(crystal, "add_good_node", failing)
+    with pytest.raises(RuntimeError):
+        restricted_multipartitions(3, (0, 1))
+    assert crystal._memo.get() is None
 
 
 def test_restricted_examples():
@@ -73,3 +111,34 @@ def test_restricted_subset_of_all_multipartitions():
 def test_negative_size_rejected():
     with pytest.raises(ValueError):
         restricted_multipartitions(-1, K0)
+
+
+# sha256 over the lines f"{d}: {sorted(restricted_multipartitions(d, kappa))!r}\n"
+# for d = 0..20 at levels 1-2 and d = 0..14 at level 3, recorded from the
+# implementation that stack-reduced the whole signature of every multipartition
+FROZEN_CLOSURE_SHA256 = {
+    (0,): "448c6def57de40e1396de711dc3f15cd3b313132d8d1631fd712c9aec9b504a3",
+    (1,): "448c6def57de40e1396de711dc3f15cd3b313132d8d1631fd712c9aec9b504a3",
+    (0, 0): "1f14ee4b908a32afc5dd47bc8cac6158822ec5635146cc7f19954bedd968a25f",
+    (0, 1): "d79d886422b60cbca5a20832b986959b35bce3fa56fc495c4f4e029e4c19ad69",
+    (1, 0): "d79d886422b60cbca5a20832b986959b35bce3fa56fc495c4f4e029e4c19ad69",
+    (1, 1): "1f14ee4b908a32afc5dd47bc8cac6158822ec5635146cc7f19954bedd968a25f",
+    (0, 0, 0): "2a5e726d4d676c92449bf96982c247dd8b37751694a58c66d40968db268a8b38",
+    (0, 0, 1): "387fb646c020e2e61ba336f940c644dc88e29f73fc92ad237c6d26ef0e608cab",
+    (0, 1, 0): "9808d8f585c590a75ac6676b1fd63a6c2b75aefa8ec84bddb64c45b4b57a135a",
+    (0, 1, 1): "0d24343d9922a2a6077a1459cd6a810204f95f11e2d4745d6baa9b32d985de09",
+    (1, 0, 0): "0d24343d9922a2a6077a1459cd6a810204f95f11e2d4745d6baa9b32d985de09",
+    (1, 0, 1): "9808d8f585c590a75ac6676b1fd63a6c2b75aefa8ec84bddb64c45b4b57a135a",
+    (1, 1, 0): "387fb646c020e2e61ba336f940c644dc88e29f73fc92ad237c6d26ef0e608cab",
+    (1, 1, 1): "2a5e726d4d676c92449bf96982c247dd8b37751694a58c66d40968db268a8b38",
+}
+
+
+def test_closures_match_frozen_digests():
+    for level, top in ((1, 20), (2, 20), (3, 14)):
+        for kappa in itertools.product((0, 1), repeat=level):
+            digest = hashlib.sha256()
+            for d in range(top + 1):
+                layer = sorted(restricted_multipartitions(d, kappa))
+                digest.update(f"{d}: {layer!r}\n".encode())
+            assert digest.hexdigest() == FROZEN_CLOSURE_SHA256[kappa], kappa
