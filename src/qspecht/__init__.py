@@ -12,7 +12,6 @@ from .core import (
     degree_parity,
     format_multipartition,
     is_2_restricted,
-    is_below,
     multipartition_size,
     multipartitions,
     parse_multipartition,
@@ -34,7 +33,6 @@ from .tableaux import (
 )
 from .specht import (
     SweepReport,
-    crossing_degree,
     qdim_hecke,
     qdim_specht,
     qdim_truncation,

@@ -7,13 +7,16 @@ Conventions used throughout the package:
 * a node is *below* another if its component is larger, or the components
   agree and its row is larger;
 * addable/removable node lists are returned in below-order (first
-  component's top row first), so signed counts are reproducible.
+  component's top row first), so signed counts are reproducible;
+* :func:`signature` is the one node kernel: it alone decides which cells are
+  addable or removable i-nodes, and the node lists and the signed node count
+  of :func:`degree_contribution` are read from it.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 
 Partition = tuple[int, ...]
 Multipartition = tuple[Partition, ...]
@@ -79,57 +82,17 @@ def residue_of(node: Node, kappa: Multicharge) -> int:
     return (kappa[m - 1] + b - a) % 2
 
 
-def is_below(node: Node, other: Node) -> bool:
-    """True if ``node`` lies strictly below ``other``."""
-    return node[2] > other[2] or (node[2] == other[2] and node[0] > other[0])
-
-
-def _addable_cells(parts: Sequence[int]) -> Iterator[tuple[int, int]]:
-    """(row, column) positions where a cell can be added, ascending by row."""
-    for a, part in enumerate(parts, start=1):
-        if a == 1 or parts[a - 2] > part:
-            yield (a, part + 1)
-    yield (len(parts) + 1, 1)
-
-
-def _removable_cells(parts: Sequence[int]) -> Iterator[tuple[int, int]]:
-    """(row, column) positions of cells at the end of their row and column."""
-    for a, part in enumerate(parts, start=1):
-        below = parts[a] if a < len(parts) else 0
-        if part > below:
-            yield (a, part)
-
-
-def addable_nodes(lam: Multipartition, kappa: Multicharge, i: int) -> list[Node]:
-    """Addable i-nodes of the diagram, in below-order."""
-    out = []
-    for m, comp in enumerate(lam, start=1):
-        k = kappa[m - 1]
-        for a, b in _addable_cells(comp):
-            if (k + b - a) % 2 == i:
-                out.append((a, b, m))
-    return out
-
-
-def removable_nodes(lam: Multipartition, kappa: Multicharge, i: int) -> list[Node]:
-    """Removable i-nodes of the diagram, in below-order."""
-    out = []
-    for m, comp in enumerate(lam, start=1):
-        k = kappa[m - 1]
-        for a, b in _removable_cells(comp):
-            if (k + b - a) % 2 == i:
-                out.append((a, b, m))
-    return out
-
-
 def signature(lam: Multipartition, kappa: Multicharge, i: int) -> list[tuple[Node, str]]:
     """Addable ('+') and removable ('-') i-nodes of the diagram, in below-order,
     from one pass over the rows.
 
     The end cell of a row and the cell after it have different residues, so
     each row contributes at most one node, and an addable and a removable
-    i-node never share a row.
+    i-node never share a row.  A row whose end cell is not of residue i
+    yields its addable node, so ``i`` must be a residue.
     """
+    if i not in RESIDUES:
+        raise ValueError(f"residues must be 0 or 1, got {i!r}")
     out = []
     for m, comp in enumerate(lam, start=1):
         k = kappa[m - 1]
@@ -143,6 +106,16 @@ def signature(lam: Multipartition, kappa: Multicharge, i: int) -> list[tuple[Nod
         if (k - last) % 2 == i:
             out.append(((last + 1, 1, m), ADDABLE))
     return out
+
+
+def addable_nodes(lam: Multipartition, kappa: Multicharge, i: int) -> list[Node]:
+    """Addable i-nodes of the diagram, in below-order."""
+    return [node for node, mark in signature(lam, kappa, i) if mark == ADDABLE]
+
+
+def removable_nodes(lam: Multipartition, kappa: Multicharge, i: int) -> list[Node]:
+    """Removable i-nodes of the diagram, in below-order."""
+    return [node for node, mark in signature(lam, kappa, i) if mark == REMOVABLE]
 
 
 def with_node_added(lam: Multipartition, node: Node) -> Multipartition:
@@ -178,23 +151,16 @@ def degree_contribution(lam: Multipartition, kappa: Multicharge, node: Node) -> 
     residue strictly below it, minus removable ones strictly below it.
 
     Summing these contributions over the growth of a standard tableau gives
-    the tableau's degree.
+    the tableau's degree.  The count is read from the signature of the
+    node's residue over its component and the components after it.
     """
     if not contains_node(lam, node):
         raise ValueError(f"node {node!r} is not in the diagram of {lam!r}")
-    i = residue_of(node, kappa)
     a0, _, m0 = node
     count = 0
-    for m in range(m0, len(lam) + 1):
-        comp = lam[m - 1]
-        k = kappa[m - 1]
-        first_row = a0 + 1 if m == m0 else 1
-        for a, b in _addable_cells(comp):
-            if a >= first_row and (k + b - a) % 2 == i:
-                count += 1
-        for a, b in _removable_cells(comp):
-            if a >= first_row and (k + b - a) % 2 == i:
-                count -= 1
+    for (a, _, m), mark in signature(lam[m0 - 1 :], kappa[m0 - 1 :], residue_of(node, kappa)):
+        if m > 1 or a > a0:
+            count += 1 if mark == ADDABLE else -1
     return count
 
 

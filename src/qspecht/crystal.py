@@ -75,6 +75,8 @@ def add_good_node(
     lam: Multipartition, kappa: Multicharge, i: int
 ) -> Multipartition | None:
     """Add the good addable i-node, or return None if there is none."""
+    if i not in RESIDUES:
+        raise ValueError(f"residues must be 0 or 1, got {i!r}")
     memo = _memo.get() or _new_memo()
     pending = 0
     good = None

@@ -221,19 +221,11 @@ def ladder_word(mu: Partition, charge: int = 0) -> list[tuple[int, int]]:
     return [((charge + ladder + 1) % 2, counts[ladder]) for ladder in sorted(counts)]
 
 
-def ladder_vector(mu: Partition, kappa: Multicharge = (0,)) -> FockVector:
-    """Divided-power induction along the ladder word, from the empty diagram."""
-    _require_level_one(kappa)
-    v = FockVector.basis(())
-    for i, k in ladder_word(mu, kappa[0]):
-        v = divided_induct(v, kappa, i, k)
-    return v
-
-
 def _ladder_vectors(
     columns: list[Partition], kappa: Multicharge
 ) -> Iterator[tuple[Partition, FockVector]]:
-    """``(mu, ladder_vector(mu, kappa))`` for each column, in order.
+    """``(mu, v)`` for each column, in order, where ``v`` is the divided-power
+    induction along the ladder word of ``mu`` from the empty diagram.
 
     Each column continues from the vectors of the ladder-word prefix it
     shares with the previous column, and keeps only those of the prefix it

@@ -36,10 +36,6 @@ class LaurentPoly:
         return out
 
     @classmethod
-    def monomial(cls, exponent: int, coefficient: int = 1) -> "LaurentPoly":
-        return cls({exponent: coefficient})
-
-    @classmethod
     def from_pairs(cls, pairs: Iterable[Iterable[int]]) -> "LaurentPoly":
         return cls((int(e), int(c)) for e, c in pairs)
 

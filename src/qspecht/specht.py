@@ -116,14 +116,6 @@ def qdim_hecke(d: int, kappa: Multicharge) -> LaurentPoly:
     return total
 
 
-def crossing_degree(residues: tuple[int, ...], r: int) -> int:
-    """Degree of the r-th crossing generator on the idempotent of a residue
-    sequence: -2 when the two strands carry equal residues, +2 otherwise."""
-    if not 1 <= r <= len(residues) - 1:
-        raise ValueError(f"position {r} out of range for a sequence of length {len(residues)}")
-    return -2 if residues[r - 1] == residues[r] else 2
-
-
 @dataclass(frozen=True)
 class SweepReport:
     """Outcome of an exhaustive check; directly assertable in tests."""

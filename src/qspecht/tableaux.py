@@ -21,6 +21,7 @@ from .core import (
     format_multipartition,
     multipartition_size,
     with_node_added,
+    young_nodes,
 )
 
 
@@ -78,11 +79,7 @@ class StandardTableau:
 
 def row_filled_tableau(lam: Multipartition) -> StandardTableau:
     """The tableau filling 1..d along successive rows, first component first."""
-    places: list[Node] = []
-    for m, comp in enumerate(lam, start=1):
-        for a, part in enumerate(comp, start=1):
-            places.extend((a, b, m) for b in range(1, part + 1))
-    return StandardTableau(lam, tuple(places))
+    return StandardTableau(lam, tuple(young_nodes(lam)))
 
 
 def _search(

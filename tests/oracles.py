@@ -5,14 +5,12 @@ from functools import lru_cache
 from math import factorial
 
 from qspecht.core import (
-    addable_nodes,
     contains_node,
-    degree_contribution,
     empty_multipartition,
-    removable_nodes,
     with_node_added,
     with_node_removed,
 )
+from qspecht.fock import FockVector, divided_induct, ladder_word
 from qspecht.laurent import ZERO, LaurentPoly, q_power
 from qspecht.tableaux import degree, residue_sequence, standard_tableaux
 
@@ -86,9 +84,64 @@ def brute_residue_node_count(p, charge, i):
     )
 
 
+def is_below(node, other):
+    """True if ``node`` lies strictly below ``other``: in a later component,
+    or in the same component and a later row."""
+    return node[2] > other[2] or (node[2] == other[2] and node[0] > other[0])
+
+
+def _cells(comp):
+    return {(a, b) for a, part in enumerate(comp, 1) for b in range(1, part + 1)}
+
+
+def _is_diagram(cells):
+    """True if a finite set of cells is the Young diagram of a partition:
+    every cell's upper and left neighbours are cells too."""
+    return all(
+        (a == 1 or (a - 1, b) in cells) and (b == 1 or (a, b - 1) in cells)
+        for a, b in cells
+    )
+
+
+def _residue_nodes(lam, kappa, i, addable):
+    """Cells of residue i whose addition (or removal) leaves a diagram in
+    their component, tried cell by cell over a box that holds every
+    candidate, and listed in below-order."""
+    out = []
+    for m, comp in enumerate(lam, 1):
+        cells = _cells(comp)
+        for a in range(1, len(comp) + 2):
+            for b in range(1, (comp[0] if comp else 0) + 2):
+                if (kappa[m - 1] + b - a) % 2 != i or ((a, b) in cells) == addable:
+                    continue
+                if _is_diagram(cells ^ {(a, b)}):
+                    out.append((a, b, m))
+    return out
+
+
+def addable_nodes(lam, kappa, i):
+    """Addable i-nodes by the literal definition, in below-order."""
+    return _residue_nodes(lam, kappa, i, addable=True)
+
+
+def removable_nodes(lam, kappa, i):
+    """Removable i-nodes by the literal definition, in below-order."""
+    return _residue_nodes(lam, kappa, i, addable=False)
+
+
+def degree_contribution(lam, kappa, node):
+    """The signed node count d_A(lam) of a node A of the diagram: addable
+    nodes of A's residue strictly below A, minus removable ones."""
+    a, b, m = node
+    i = (kappa[m - 1] + b - a) % 2
+    return sum(is_below(other, node) for other in addable_nodes(lam, kappa, i)) - sum(
+        is_below(other, node) for other in removable_nodes(lam, kappa, i)
+    )
+
+
 def node_signature(lam, kappa, i):
-    """The i-signature as two lists merged by a sort: addable nodes marked
-    '+', removable ones '-', in below-order."""
+    """The i-signature as two literal lists merged by a sort: addable nodes
+    marked '+', removable ones '-', in below-order."""
     marked = [(node, "+") for node in addable_nodes(lam, kappa, i)]
     marked += [(node, "-") for node in removable_nodes(lam, kappa, i)]
     marked.sort(key=lambda pair: (pair[0][2], pair[0][0]))
@@ -119,6 +172,15 @@ def remove_good_node(lam, kappa, i):
     return None if there is none."""
     survivors = [node for node, mark in reduced_signature(lam, kappa, i) if mark == "-"]
     return with_node_removed(lam, survivors[0]) if survivors else None
+
+
+def ladder_vector(mu, kappa=(0,)):
+    """Divided-power induction along the ladder word of ``mu``, from the
+    empty diagram, sharing nothing with other columns."""
+    v = FockVector.basis(())
+    for i, k in ladder_word(mu, kappa[0]):
+        v = divided_induct(v, kappa, i, k)
+    return v
 
 
 def literal_truncations(lam, kappa):

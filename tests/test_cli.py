@@ -144,6 +144,50 @@ def test_llt_output_matches_frozen_digest(capsys, charge, fmt):
     assert digest == FROZEN_LLT_12_SHA256[charge, fmt]
 
 
+# sha256 of the stdout of the commands that call `core.degree_contribution`
+# directly (tableau listings and the row-tableau degree sweep), recorded from
+# the implementation that scanned addable and removable cells separately
+FROZEN_DEGREE_PATH_SHA256 = {
+    "tableaux --lambda 3,2,1 --charge 0 --format json":
+        "1377574f265d219c7b15b747897fd379154e739ebdf7712fd6f156c53bda5b34",
+    "tableaux --lambda 3,2,1 --charge 0 --residues 0,1,1,0,0,0 --format json":
+        "96a24deefb8ed32a1ebad0a145b54a80944a2ac628d89e606def33ccacf9c095",
+    "tableaux --lambda 4,2,1 --charge 1 --format json":
+        "c5f43b8c7ac08c3cae570a226e45d7ed13a94a8ba8a73a724ef3f8b5b5439a4e",
+    "tableaux --lambda 4,2,1 --charge 1 --residues 1,0,0,1,1,1,0 --format json":
+        "325a2e8344a3f98741182ca02c6775de69d03a8e64d239b30930613342fca931",
+    "tableaux --lambda 2,1|1,1 --charge 0,1 --format json":
+        "623afcb1b489afaa5d3fef31173fe72899ae0b98b96af8980edace95e660d9b7",
+    "tableaux --lambda 2,1|1,1 --charge 0,1 --residues 0,1,1,1,0 --format json":
+        "2901de34d54c68d0671a0db1a171995572e51dc86e8c06b7238100681acc100a",
+    "tableaux --lambda 3,1|2 --charge 1,0 --format json":
+        "87b171635187efc87b481ccd678ca176f683ff6a4bbd6526c448362d5eab4c97",
+    "tableaux --lambda 3,1|2 --charge 1,0 --residues 1,0,0,0,1,1 --format json":
+        "fb65d98d242924433d9f1b392ebba34916a40038f84f455a60e86448a4d0ca6f",
+    "tableaux --lambda 2|1|1 --charge 0,0,1 --format json":
+        "8190ec69769a50e17d31083946590193ba66be5affb6d1f3d0971aeab8fb08bc",
+    "tableaux --lambda 2|1|1 --charge 0,0,1 --residues 0,0,1,1 --format json":
+        "ca1117d55681a96d7f5446c1057287475885a1b79ff1652b3e7e50dfc7a6f75a",
+    "tableaux --lambda 1,1|2|1 --charge 1,0,1 --format json":
+        "7330394d89e229da3cea33a3616ec46b0dcb8fdbd45f616b75b7146e321e1c33",
+    "tableaux --lambda 1,1|2|1 --charge 1,0,1 --residues 0,1,1,1,0 --format json":
+        "2962b6a9b4020658019395fc02e7dbaaf41de9575af8a2289d9aa91a27670923",
+    "verify row-degree --d 12 --charge 0 --format json":
+        "6400abeedf225019be60956819848535d6381f32fb75971d1403c2d790e3a8dc",
+    "verify row-degree --d 8 --charge 0,1 --format json":
+        "efb1bd16c085e7a25c981ed474d2d6ad9007bdb0665184fcebe144b48fa4038c",
+    "verify row-degree --d 6 --charge 0,0,1 --format json":
+        "7f9299630a38241412f69f213665a73c6411b5436774eb23a3f34d8036c65c91",
+}
+
+
+@pytest.mark.parametrize("command", sorted(FROZEN_DEGREE_PATH_SHA256))
+def test_degree_paths_match_frozen_digests(capsys, command):
+    code, out = run(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == FROZEN_DEGREE_PATH_SHA256[command]
+
+
 def test_adjustment_text(capsys):
     code, out = run(capsys, "adjustment")
     assert code == 0

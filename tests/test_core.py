@@ -12,7 +12,6 @@ from qspecht.core import (
     degree_parity,
     format_multipartition,
     is_2_restricted,
-    is_below,
     multipartition_size,
     multipartitions,
     parse_multipartition,
@@ -27,10 +26,14 @@ from qspecht.core import (
     with_node_removed,
     young_nodes,
 )
+from qspecht.crystal import add_good_node
+from qspecht.fock import FockVector, induct
+import oracles
 from oracles import (
     brute_even_column_node_count,
     brute_residue_node_count,
     even_column_node_count,
+    is_below,
     node_signature,
     partition_count,
 )
@@ -127,6 +130,41 @@ def test_signature_matches_two_lists_and_sort():
                         assert signature(lam, kappa, i) == node_signature(lam, kappa, i), (
                             lam, kappa, i,
                         )
+
+
+def test_node_kernel_matches_the_literal_definitions():
+    # every node of every shape, both residues and every charge: the node
+    # lists and signed counts read from `signature` against the oracles,
+    # which try every cell of a box around each component
+    nodes = 0
+    for level, max_d in ((1, 10), (2, 8), (3, 6)):
+        for kappa in itertools.product((0, 1), repeat=level):
+            for d in range(max_d + 1):
+                for lam in multipartitions(d, level):
+                    for i in (0, 1):
+                        assert addable_nodes(lam, kappa, i) == oracles.addable_nodes(
+                            lam, kappa, i
+                        ), (lam, kappa, i)
+                        assert removable_nodes(lam, kappa, i) == oracles.removable_nodes(
+                            lam, kappa, i
+                        ), (lam, kappa, i)
+                    for node in young_nodes(lam):
+                        nodes += 1
+                        assert degree_contribution(
+                            lam, kappa, node
+                        ) == oracles.degree_contribution(lam, kappa, node), (lam, kappa, node)
+    assert nodes == 31236
+
+
+@pytest.mark.parametrize("i", [2, -1])
+def test_residue_outside_zero_one_is_rejected(i):
+    # the row pass reads "end cell not of residue i" as an addable node, so
+    # an unchecked residue would list every row's addable node
+    for kernel in (signature, addable_nodes, removable_nodes, add_good_node):
+        with pytest.raises(ValueError):
+            kernel(((1,),), (0,), i)
+    with pytest.raises(ValueError):
+        induct(FockVector.basis((1,)), (0,), i)
 
 
 def test_degree_contribution_examples():

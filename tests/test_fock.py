@@ -19,12 +19,12 @@ from qspecht.fock import (
     decomposition_matrix,
     divided_induct,
     induct,
-    ladder_vector,
     ladder_word,
     simple_qdims,
 )
 from qspecht.laurent import LaurentPoly, ONE, Q, ZERO, q_power
 from qspecht.specht import qdim_specht
+from oracles import ladder_vector
 
 K0 = (0,)
 EMPTY = FockVector.basis(())

@@ -8,7 +8,6 @@ from qspecht.core import degree_parity, multipartitions, partitions
 from qspecht.fock import simple_qdims
 from qspecht.laurent import LaurentPoly, ONE, Q, ZERO, q_power
 from qspecht.specht import (
-    crossing_degree,
     qdim_hecke,
     qdim_specht,
     qdim_truncation,
@@ -123,16 +122,6 @@ def test_qdim_hecke_dimension_identity():
 def test_qdim_hecke_has_even_parity_only():
     for d in range(7):
         assert qdim_hecke(d, K0).parity_project().odd == 0
-
-
-def test_crossing_degree():
-    assert crossing_degree((0, 0, 1), 1) == -2
-    assert crossing_degree((0, 1, 1), 1) == 2
-    assert crossing_degree((1, 1), 1) == -2
-    with pytest.raises(ValueError):
-        crossing_degree((0, 1), 2)
-    with pytest.raises(ValueError):
-        crossing_degree((0, 1), 0)
 
 
 def test_truncations_are_pure_of_the_shape_parity():
