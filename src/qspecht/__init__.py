@@ -42,7 +42,6 @@ from .specht import (
 )
 from .crystal import (
     add_good_node,
-    node_signature,
     restricted_multipartitions,
 )
 from .fock import (
@@ -53,7 +52,6 @@ from .fock import (
     decomposition_matrix,
     divided_induct,
     induct,
-    ladder_word,
     simple_qdims,
 )
 from .adjustment import (

@@ -314,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="exhaustive checks over all shapes of a size")
     p.add_argument("what", choices=("parity", "row-degree", "hecke"))
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--parallel", action="store_true", help="accepted; has no effect")
     common(p)
     p.set_defaults(func=_cmd_verify)
 

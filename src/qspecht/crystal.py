@@ -31,7 +31,7 @@ from .core import (
     Multipartition,
     Partition,
     empty_multipartition,
-    signature as node_signature,
+    signature,
     with_node_added,
 )
 
@@ -61,7 +61,7 @@ def _shared_summaries() -> Iterator[None]:
 def _summary(comp: Partition, k: int, i: int) -> Summary:
     """Reduce the i-signature of one component of charge k."""
     A = B = row = column = 0
-    for (a, b, _), mark in node_signature((comp,), (k,), i):
+    for (a, b, _), mark in signature((comp,), (k,), i):
         if mark != ADDABLE:
             B += 1
         elif B:
@@ -102,6 +102,8 @@ def restricted_multipartitions(d: int, kappa: Multicharge) -> set[Multipartition
     good-node adding operators, one breadth-first layer per size."""
     if d < 0:
         raise ValueError("size must be nonnegative")
+    if not kappa:
+        raise ValueError("a multicharge needs at least one component")
     layer: set[Multipartition] = {empty_multipartition(len(kappa))}
     with _shared_summaries():
         for _ in range(d):

@@ -9,14 +9,16 @@ dimension, exactly):
   in the grown shape), so monomial exponents match tableau-degree increments;
   every such count is read off one reversed scan of the i-signature of the
   shape before the node is added (see :func:`induct`);
-* ladders for quantum characteristic 2 are the diagonals row+column-1, read
-  in increasing order; each carries a single residue;
-* canonical-basis elements are computed per 2-restricted shape in descending
-  reverse-lexicographic order (a linear extension of dominance), subtracting
-  bar-symmetric multiples of earlier elements until every off-leading
-  coefficient has positive exponents only.  Each column continues the
-  previous column's ladder path from the longest common prefix of the two
-  ladder words, so no prefix is induced twice.
+* ladders for quantum characteristic 2 are the diagonals row+column-1; each
+  carries a single residue, and the top ladder of a shape is its largest
+  diagonal;
+* canonical-basis elements are computed size by size, per 2-restricted
+  shape in descending reverse-lexicographic order (a linear extension of
+  dominance).  The vector of mu starts as the divided power F_i^(k) of the
+  finished vector of mu with its top ladder of k nodes of residue i removed
+  (the recursive form of Lascoux-Leclerc-Thibon), then bar-symmetric
+  multiples of earlier elements of the same size are subtracted until every
+  off-leading coefficient has positive exponents only.
 
 Any convention mismatch surfaces as :class:`InternalConsistencyError`, never
 as silently wrong numbers.
@@ -24,6 +26,7 @@ as silently wrong numbers.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 
@@ -90,16 +93,6 @@ class FockVector:
             return NotImplemented
         return self._terms == other._terms
 
-    def __add__(self, other: "FockVector") -> "FockVector":
-        terms = dict(self._terms)
-        for mu, c in other._terms.items():
-            total = terms.get(mu, ZERO) + c
-            if total:
-                terms[mu] = total
-            elif mu in terms:
-                del terms[mu]
-        return FockVector._adopt(terms)
-
     def sub_scaled(self, gamma: LaurentPoly, other: "FockVector") -> "FockVector":
         """``self - gamma * other`` in one pass over the terms of ``other``,
         each coefficient built once, with no intermediate product."""
@@ -125,15 +118,6 @@ class FockVector:
 
     def __sub__(self, other: "FockVector") -> "FockVector":
         return self.sub_scaled(ONE, other)
-
-    def __mul__(self, scalar: LaurentPoly | int) -> "FockVector":
-        if isinstance(scalar, int):
-            scalar = LaurentPoly({0: scalar})
-        if not isinstance(scalar, LaurentPoly):
-            return NotImplemented
-        return FockVector({mu: c * scalar for mu, c in self._terms.items()})
-
-    __rmul__ = __mul__
 
     def __repr__(self) -> str:
         inner = " + ".join(f"({c})|{list(mu)}>" for mu, c in self.items())
@@ -203,51 +187,25 @@ def divided_induct(v: FockVector, kappa: Multicharge, i: int, k: int) -> FockVec
     return FockVector._adopt(divided)
 
 
-def ladder_word(mu: Partition, charge: int = 0) -> list[tuple[int, int]]:
-    """(residue, multiplicity) pairs describing the diagram ladder by ladder.
+def _top_ladder(mu: Partition, charge: int) -> tuple[Partition, int, int]:
+    """``(mu_minus, i, k)``: ``mu`` with its top ladder removed, the residue
+    of that ladder and its length.
 
-    Nodes (a, b) with equal a+b-1 form one ladder; ladders are read in
-    increasing order and each carries a constant residue.  Feeding the word to
-    :func:`divided_induct` from the empty vector produces a vector with
-    leading coefficient 1 at ``mu``.
+    The top ladder is the k nodes on the largest diagonal a+b-1 of ``mu``.
+    Each ends its row, since the next node of the row would lie on a larger
+    diagonal, and all of them have residue i.  Removing them from a
+    2-restricted partition leaves a 2-restricted one.
     """
-    if not is_2_restricted(mu):
-        raise ValueError(f"{mu!r} is not 2-restricted")
-    counts: dict[int, int] = {}
+    top = max(a + part - 1 for a, part in enumerate(mu, start=1))
+    minus: list[int] = []
+    k = 0
     for a, part in enumerate(mu, start=1):
-        for b in range(1, part + 1):
-            ladder = a + b - 1
-            counts[ladder] = counts.get(ladder, 0) + 1
-    return [((charge + ladder + 1) % 2, counts[ladder]) for ladder in sorted(counts)]
-
-
-def _ladder_vectors(
-    columns: list[Partition], kappa: Multicharge
-) -> Iterator[tuple[Partition, FockVector]]:
-    """``(mu, v)`` for each column, in order, where ``v`` is the divided-power
-    induction along the ladder word of ``mu`` from the empty diagram.
-
-    Each column continues from the vectors of the ladder-word prefix it
-    shares with the previous column, and keeps only those of the prefix it
-    shares with the next one.  In reverse-lexicographic order the columns
-    through any prefix are consecutive, so no prefix is induced twice, and
-    at most one word's vectors are held.
-    """
-    words = [ladder_word(mu, kappa[0]) for mu in columns]
-    path: list[FockVector] = []  # the vectors of the prefix shared with this word
-    for j, (mu, word) in enumerate(zip(columns, words)):
-        following = words[j + 1] if j + 1 < len(words) else []
-        shared = 0
-        while shared < min(len(word), len(following)) and word[shared] == following[shared]:
-            shared += 1
-        v = path[-1] if path else FockVector.basis(())
-        for n in range(len(path), len(word)):
-            i, k = word[n]
-            v = divided_induct(v, kappa, i, k)
-            if n < shared:
-                path.append(v)
-        del path[shared:]
-        yield mu, v
+        if a + part - 1 == top:
+            k += 1
+            part -= 1
+        if part:
+            minus.append(part)
+    return tuple(minus), (charge + top + 1) % 2, k
 
 
 def _bar_symmetric_low_part(c: LaurentPoly) -> LaurentPoly:
@@ -259,6 +217,40 @@ def _bar_symmetric_low_part(c: LaurentPoly) -> LaurentPoly:
     return LaurentPoly.from_clean(low)
 
 
+def _reduce(
+    mu: Partition, v: FockVector, earlier: list[tuple[Partition, FockVector]]
+) -> FockVector:
+    """The canonical vector of ``mu``, from a bar-invariant ``v`` with
+    coefficient 1 at ``mu``: subtract bar-symmetric multiples of the
+    ``earlier`` canonical vectors of the same size until no coefficient at
+    their indices has a nonpositive exponent, then check the result."""
+    steps = 0
+    while True:
+        offender = None
+        for nu, g in reversed(earlier):  # least dominant candidates first
+            c = v.coefficient(nu)
+            if c and c.min_exponent() <= 0:
+                offender = g
+                break
+        if offender is None:
+            break
+        v = v.sub_scaled(_bar_symmetric_low_part(c), offender)
+        steps += 1
+        if steps > 2 * len(earlier) + 2:
+            raise InternalConsistencyError(f"elimination for {mu} did not terminate")
+    if v.coefficient(mu) != ONE:
+        raise InternalConsistencyError(
+            f"leading coefficient at {mu} is {v.coefficient(mu)}, expected 1"
+        )
+    for nu, c in v._terms.items():
+        if nu != mu and (c.min_exponent() < 1 or any(x < 0 for _, x in c.terms())):
+            raise InternalConsistencyError(
+                f"coefficient {c} at {nu} in the vector for {mu} "
+                "is outside q-positive range"
+            )
+    return v
+
+
 def canonical_basis(
     d: int, kappa: Multicharge = (0,)
 ) -> list[tuple[Partition, FockVector]]:
@@ -267,43 +259,34 @@ def canonical_basis(
 
     Each returned vector has coefficient exactly 1 at its index, all other
     coefficients with positive exponents and nonnegative integer terms.
+    The columns of every size up to d are built in turn.  Column mu starts
+    from F_i^(k) applied to the finished vector of mu with its top ladder
+    removed, which is held only until the last column that starts from it.
     """
     _require_level_one(kappa)
-    restricted = [p for p in partitions(d) if is_2_restricted(p)]
-    built: dict[Partition, FockVector] = {}
-    order: list[Partition] = []
-    out: list[tuple[Partition, FockVector]] = []
-    for mu, v in _ladder_vectors(restricted, kappa):
-        steps = 0
-        while True:
-            offender = None
-            for nu in reversed(order):  # least dominant candidates first
-                c = v.coefficient(nu)
-                if c and c.min_exponent() <= 0:
-                    offender = nu
-                    break
-            if offender is None:
-                break
-            v = v.sub_scaled(_bar_symmetric_low_part(v.coefficient(offender)), built[offender])
-            steps += 1
-            if steps > 2 * len(order) + 2:
+    if d < 0:
+        raise ValueError("size must be nonnegative")
+    sizes = [
+        [(mu, _top_ladder(mu, kappa[0])) for mu in partitions(s) if is_2_restricted(mu)]
+        for s in range(1, d + 1)
+    ]
+    uses = Counter(minus for size in sizes for _, (minus, _, _) in size)
+    held = {(): FockVector.basis(())}
+    columns = list(held.items())  # the one column of size 0
+    for size in sizes:
+        columns = []
+        for mu, (minus, i, k) in size:
+            if minus not in held:
                 raise InternalConsistencyError(
-                    f"elimination for {mu} did not terminate"
+                    f"the vector of {minus}, which the column {mu} starts from, is not held"
                 )
-        if v.coefficient(mu) != ONE:
-            raise InternalConsistencyError(
-                f"leading coefficient at {mu} is {v.coefficient(mu)}, expected 1"
-            )
-        for nu, c in v._terms.items():
-            if nu != mu and (c.min_exponent() < 1 or any(x < 0 for _, x in c.terms())):
-                raise InternalConsistencyError(
-                    f"coefficient {c} at {nu} in the vector for {mu} "
-                    "is outside q-positive range"
-                )
-        built[mu] = v
-        order.append(mu)
-        out.append((mu, v))
-    return out
+            v = divided_induct(held[minus], kappa, i, k)
+            uses[minus] -= 1
+            if not uses[minus]:
+                del held[minus]
+            columns.append((mu, _reduce(mu, v, columns)))
+        held.update((mu, v) for mu, v in columns if uses[mu])
+    return columns
 
 
 @dataclass(frozen=True)

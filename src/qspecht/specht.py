@@ -164,12 +164,10 @@ def _sweep(checker, d: int, kappa: Multicharge) -> tuple[int, tuple[str, ...]]:
     return len(shapes), tuple(r for r in results if r is not None)
 
 
-def verify_specht_parity(
-    d: int, kappa: Multicharge, parallel: bool = False
-) -> SweepReport:
+def verify_specht_parity(d: int, kappa: Multicharge) -> SweepReport:
     """Check every shape of size d: its Specht graded dimension must be pure
     of the shape's combinatorial parity.  The shapes share one memo, so each
-    subdiagram is evaluated once; ``parallel`` is accepted and ignored."""
+    subdiagram is evaluated once."""
     checked, violations = _sweep(_parity_violation, d, kappa)
     return SweepReport(
         check="specht-parity",
@@ -179,12 +177,9 @@ def verify_specht_parity(
     )
 
 
-def verify_row_degree_parity(
-    d: int, kappa: Multicharge, parallel: bool = False
-) -> SweepReport:
+def verify_row_degree_parity(d: int, kappa: Multicharge) -> SweepReport:
     """Check every shape of size d: the degree of its row-filled tableau must
-    agree mod 2 with the shape's combinatorial parity.  ``parallel`` is
-    accepted and ignored."""
+    agree mod 2 with the shape's combinatorial parity."""
     checked, violations = _sweep(_row_degree_violation, d, kappa)
     return SweepReport(
         check="row-degree-parity",

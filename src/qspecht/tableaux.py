@@ -14,6 +14,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .core import (
+    RESIDUES,
     Multicharge,
     Multipartition,
     Node,
@@ -147,6 +148,8 @@ def standard_tableaux_with_degrees(
         raise ValueError("shape level does not match the multicharge length")
     if residues is not None and len(residues) != multipartition_size(lam):
         raise ValueError("residue sequence length does not match the shape size")
+    if residues is not None and any(i not in RESIDUES for i in residues):
+        raise ValueError(f"residues must be 0 or 1, got {residues!r}")
     for places, deg in _search(lam, kappa, residues):
         yield StandardTableau(lam, places), deg
 

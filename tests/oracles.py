@@ -7,10 +7,11 @@ from math import factorial
 from qspecht.core import (
     contains_node,
     empty_multipartition,
+    is_2_restricted,
     with_node_added,
     with_node_removed,
 )
-from qspecht.fock import FockVector, divided_induct, ladder_word
+from qspecht.fock import FockVector, divided_induct
 from qspecht.laurent import ZERO, LaurentPoly, q_power
 from qspecht.tableaux import degree, residue_sequence, standard_tableaux
 
@@ -172,6 +173,24 @@ def remove_good_node(lam, kappa, i):
     return None if there is none."""
     survivors = [node for node, mark in reduced_signature(lam, kappa, i) if mark == "-"]
     return with_node_removed(lam, survivors[0]) if survivors else None
+
+
+def ladder_word(mu, charge=0):
+    """(residue, multiplicity) pairs describing the diagram ladder by ladder.
+
+    Nodes (a, b) with equal a+b-1 form one ladder; ladders are read in
+    increasing order and each carries a constant residue.  Feeding the word to
+    ``divided_induct`` from the empty vector produces a vector with leading
+    coefficient 1 at ``mu``.
+    """
+    if not is_2_restricted(mu):
+        raise ValueError(f"{mu!r} is not 2-restricted")
+    counts = {}
+    for a, part in enumerate(mu, start=1):
+        for b in range(1, part + 1):
+            ladder = a + b - 1
+            counts[ladder] = counts.get(ladder, 0) + 1
+    return [((charge + ladder + 1) % 2, counts[ladder]) for ladder in sorted(counts)]
 
 
 def ladder_vector(mu, kappa=(0,)):

@@ -224,10 +224,14 @@ def test_byte_identical_reruns(capsys):
     assert first == second
 
 
-def test_parallel_flag_matches_serial(capsys):
-    serial = run(capsys, "verify", "parity", "--d", "5", "--format", "json")
-    parallel = run(capsys, "verify", "parity", "--d", "5", "--format", "json", "--parallel")
-    assert serial == parallel
+def test_parallel_flag_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "parity", "--d", "5", "--parallel"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.err.startswith("usage: ")
+    assert "unrecognized arguments: --parallel" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 @pytest.mark.parametrize(

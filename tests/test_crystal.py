@@ -5,20 +5,26 @@ import pytest
 
 import oracles
 from qspecht import crystal
-from qspecht.core import is_2_restricted, multipartition_size, multipartitions, partitions
-from qspecht.crystal import add_good_node, node_signature, restricted_multipartitions
+from qspecht.core import (
+    is_2_restricted,
+    multipartition_size,
+    multipartitions,
+    partitions,
+    signature,
+)
+from qspecht.crystal import add_good_node, restricted_multipartitions
 
 K0 = (0,)
 
 
 def test_signature_examples():
-    assert node_signature(((1,),), K0, 1) == [((1, 2, 1), "+"), ((2, 1, 1), "+")]
-    assert node_signature(((),), K0, 0) == [((1, 1, 1), "+")]
-    assert node_signature(((2,),), K0, 1) == [((1, 2, 1), "-"), ((2, 1, 1), "+")]
+    assert signature(((1,),), K0, 1) == [((1, 2, 1), "+"), ((2, 1, 1), "+")]
+    assert signature(((),), K0, 0) == [((1, 1, 1), "+")]
+    assert signature(((2,),), K0, 1) == [((1, 2, 1), "-"), ((2, 1, 1), "+")]
 
 
 def test_signature_below_order_level_two():
-    sig = node_signature(((2, 1), (1,)), (0, 1), 1)
+    sig = signature(((2, 1), (1,)), (0, 1), 1)
     keys = [(node[2], node[0]) for node, _ in sig]
     assert keys == sorted(keys)
 
@@ -111,6 +117,12 @@ def test_restricted_subset_of_all_multipartitions():
 def test_negative_size_rejected():
     with pytest.raises(ValueError):
         restricted_multipartitions(-1, K0)
+
+
+@pytest.mark.parametrize("d", [0, 3])
+def test_empty_multicharge_rejected(d):
+    with pytest.raises(ValueError, match="at least one component"):
+        restricted_multipartitions(d, ())
 
 
 # sha256 over the lines f"{d}: {sorted(restricted_multipartitions(d, kappa))!r}\n"

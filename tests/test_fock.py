@@ -1,5 +1,6 @@
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
@@ -19,12 +20,11 @@ from qspecht.fock import (
     decomposition_matrix,
     divided_induct,
     induct,
-    ladder_word,
     simple_qdims,
 )
 from qspecht.laurent import LaurentPoly, ONE, Q, ZERO, q_power
 from qspecht.specht import qdim_specht
-from oracles import ladder_vector
+from oracles import ladder_vector, ladder_word
 
 K0 = (0,)
 EMPTY = FockVector.basis(())
@@ -35,7 +35,6 @@ def test_fock_vector_basics():
     assert v.coefficient((2,)) == Q
     assert v.coefficient((3,)) == ZERO
     assert v.support() == ((2,), (1, 1))
-    assert v + v == 2 * v
     assert v - v == FockVector()
     assert FockVector({(1,): ZERO}) == FockVector()
 
@@ -245,18 +244,14 @@ def test_induct_shifts_are_the_signed_counts():
                     assert got == FockVector(expected), (mu, c, i)
 
 
-def distinct_ladder_prefixes(d, charge=0):
-    prefixes = set()
-    for mu in partitions(d):
-        if is_2_restricted(mu):
-            word = tuple(ladder_word(mu, charge))
-            prefixes.update(word[:n] for n in range(1, len(word) + 1))
-    return prefixes
+def restricted_partitions(d):
+    return [mu for mu in partitions(d) if is_2_restricted(mu)]
 
 
-def test_columns_reuse_the_previous_ladder_path(monkeypatch):
-    # one divided power per distinct non-empty ladder-word prefix, and one
-    # induct per unit of its multiplicity: no prefix is computed twice
+def test_columns_take_one_divided_power_of_their_top_ladder(monkeypatch):
+    # every column of every size up to d starts from the finished vector one
+    # top ladder smaller: one divided power per column, and one induct per
+    # node of its top ladder
     calls = {"divided_induct": 0, "induct": 0}
     for name in calls:
         original = getattr(fock, name)
@@ -267,15 +262,34 @@ def test_columns_reuse_the_previous_ladder_path(monkeypatch):
 
         monkeypatch.setattr(fock, name, counting)
     canonical_basis(14)
-    prefixes = distinct_ladder_prefixes(14)
-    assert calls["divided_induct"] == len(prefixes) == 109
-    assert calls["induct"] == sum(prefix[-1][1] for prefix in prefixes) == 138
+    columns = [mu for s in range(1, 15) for mu in restricted_partitions(s)]
+    assert calls["divided_induct"] == len(columns) == 109
+    assert calls["induct"] == sum(ladder_word(mu)[-1][1] for mu in columns) == 138
 
 
-def test_pre_elimination_vectors_are_the_ladder_vectors():
-    for c in (0, 1):
-        restricted = [mu for mu in partitions(12) if is_2_restricted(mu)]
-        columns = list(fock._ladder_vectors(restricted, (c,)))
-        assert [mu for mu, _ in columns] == restricted
-        for mu, v in columns:
-            assert v == ladder_vector(mu, (c,)), (mu, c)
+def test_top_ladder_ends_rows_and_leaves_a_restricted_partition():
+    for d in range(1, 31):
+        for mu in restricted_partitions(d):
+            nodes = [(a, b) for a, part in enumerate(mu, 1) for b in range(1, part + 1)]
+            top = max(a + b - 1 for a, b in nodes)
+            ladder = [(a, b) for a, b in nodes if a + b - 1 == top]
+            assert all(b == mu[a - 1] for a, b in ladder), mu
+            rows = Counter(a for a, b in nodes if a + b - 1 != top)
+            rest = tuple(rows[a] for a in range(1, len(mu) + 1) if rows[a])
+            assert is_2_restricted(rest), mu
+            for c in (0, 1):
+                minus, i, k = fock._top_ladder(mu, c)
+                assert (minus, k) == (rest, len(ladder)), (mu, c)
+                assert ladder_word(mu, c)[-1] == (i, k), (mu, c)
+
+
+def test_a_start_vector_not_held_is_a_consistency_error(monkeypatch):
+    original = fock._top_ladder
+
+    def wrong(mu, charge):
+        minus, i, k = original(mu, charge)
+        return ((3,) if mu == (2, 1, 1) else minus), i, k
+
+    monkeypatch.setattr(fock, "_top_ladder", wrong)
+    with pytest.raises(fock.InternalConsistencyError, match=r"column \(2, 1, 1\)"):
+        canonical_basis(5)

@@ -160,9 +160,3 @@ def test_report_is_json_serialisable():
     report = verify_specht_parity(3, K0)
     blob = json.dumps(report.to_json())
     assert '"ok": true' in blob
-
-
-def test_sweep_parallel_matches_serial():
-    serial = verify_specht_parity(6, K0)
-    parallel = verify_specht_parity(6, K0, parallel=True)
-    assert serial == parallel

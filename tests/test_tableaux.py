@@ -104,6 +104,14 @@ def test_residue_filter_length_mismatch():
         tableaux_with_residue_sequence(((2,),), K0, (0,))
 
 
+@pytest.mark.parametrize("residues", [(0, 2), (0, -1)])
+def test_residue_filter_rejects_a_residue_outside_0_1(residues):
+    with pytest.raises(ValueError, match="residues must be 0 or 1"):
+        tableaux_with_residue_sequence(((2,),), K0, residues)
+    with pytest.raises(ValueError, match="residues must be 0 or 1"):
+        list(standard_tableaux_with_degrees(((2,),), K0, residues))
+
+
 def test_pruned_search_is_complete():
     # regrouping the full enumeration by residue sequence recovers exactly
     # the filtered searches
