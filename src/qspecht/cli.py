@@ -200,56 +200,59 @@ def _cmd_llt(args) -> int:
     matrix = decomposition_matrix(args.d, charge)
     simples = simple_qdims(args.d, charge, matrix)
     parity = {lam: degree_parity((lam,), charge) for lam in (*matrix.rows, *matrix.cols)}
+    cells = matrix.nonzero_cells()  # a zero entry is pure of either parity
     violations = []
-    for lam in matrix.rows:
-        for mu in matrix.cols:
-            entry = matrix.entry(lam, mu)
-            if not entry.is_pure_parity((parity[lam] + parity[mu]) % 2):
-                violations.append(f"entry ({lam}, {mu}) = {entry} impure")
+    for r, c, entry in cells:
+        lam, mu = matrix.rows[r], matrix.cols[c]
+        if not entry.is_pure_parity((parity[lam] + parity[mu]) % 2):
+            violations.append(f"entry ({lam}, {mu}) = {entry} impure")
     for mu, poly in simples.items():
         if not poly.is_bar_symmetric():
             violations.append(f"simple qdim for {mu} not bar-symmetric: {poly}")
         if not poly.is_pure_parity(parity[mu]):
             violations.append(f"simple qdim for {mu} impure: {poly}")
+    code = 0 if not violations else 1
 
     def name(p):
         return ",".join(map(str, p)) if p else "-"
 
-    if args.format == "csv":
-        rows = ["lambda," + ",".join(f'"{name(mu)}"' for mu in matrix.cols)]
-        for lam in matrix.rows:
-            cells = [f'"{matrix.entry(lam, mu)}"' for mu in matrix.cols]
-            rows.append(f'"{name(lam)}",' + ",".join(cells))
-        _emit(None, rows, args.format)
-        return 0 if not violations else 1
+    if args.format == "json":
+        payload = {
+            "d": args.d,
+            "charge": list(charge),
+            "matrix": matrix.to_json(),
+            "simples": {name(mu): simples[mu].to_pairs() for mu in matrix.cols},
+            "parity_violations": violations,
+        }
+        _emit(payload, [], args.format)
+        return code
 
-    payload = {
-        "d": args.d,
-        "charge": list(charge),
-        "matrix": matrix.to_json(),
-        "simples": {name(mu): simples[mu].to_pairs() for mu in matrix.cols},
-        "parity_violations": violations,
-    }
+    table = [["0"] * len(matrix.cols) for _ in matrix.rows]
+    widths = [len(name(mu)) for mu in matrix.cols]
+    for r, c, entry in cells:
+        text = table[r][c] = str(entry)
+        widths[c] = max(widths[c], len(text))
+    if args.format == "csv":
+        lines = ["lambda," + ",".join(f'"{name(mu)}"' for mu in matrix.cols)]
+        for lam, row in zip(matrix.rows, table):
+            lines.append(f'"{name(lam)}",' + ",".join(f'"{text}"' for text in row))
+        _emit(None, lines, args.format)
+        return code
+
     lines = [f"decomposition matrix for d={args.d} (rows x cols = "
              f"{len(matrix.rows)} x {len(matrix.cols)})"]
     label_width = max((len(name(lam)) for lam in matrix.rows), default=1)
-    col_widths = [
-        max(len(name(mu)), max((len(str(matrix.entry(lam, mu))) for lam in matrix.rows), default=1))
-        for mu in matrix.cols
-    ]
-    header = "  ".join(name(mu).rjust(w) for mu, w in zip(matrix.cols, col_widths))
+    header = "  ".join(name(mu).rjust(w) for mu, w in zip(matrix.cols, widths))
     lines.append(" " * label_width + "  " + header)
-    for lam in matrix.rows:
-        cells = "  ".join(
-            str(matrix.entry(lam, mu)).rjust(w) for mu, w in zip(matrix.cols, col_widths)
-        )
-        lines.append(f"{name(lam).ljust(label_width)}  {cells}")
+    for lam, row in zip(matrix.rows, table):
+        texts = "  ".join(text.rjust(w) for text, w in zip(row, widths))
+        lines.append(f"{name(lam).ljust(label_width)}  {texts}")
     lines.append("simple graded dimensions:")
     for mu in matrix.cols:
         lines.append(f"  D({name(mu)}) = {simples[mu]}")
     lines += [f"violation: {v}" for v in violations]
-    _emit(payload, lines, args.format)
-    return 0 if not violations else 1
+    _emit(None, lines, args.format)
+    return code
 
 
 def _cmd_adjustment(args) -> int:

@@ -18,7 +18,16 @@ dimension, exactly):
   finished vector of mu with its top ladder of k nodes of residue i removed
   (the recursive form of Lascoux-Leclerc-Thibon), then bar-symmetric
   multiples of earlier elements of the same size are subtracted until every
-  off-leading coefficient has positive exponents only.
+  off-leading coefficient has positive exponents only;
+* the moves of a shape mu for residue i, the list of (grown partition,
+  exponent shift) pairs of its addable i-nodes, depend on mu and i only.
+  Inside one :func:`canonical_basis` call they are computed once per
+  (mu, i) and kept in a move table, one part per size, which every
+  :func:`induct` of that call reads.  The table lives in a ``ContextVar``
+  that :func:`canonical_basis` sets for its own call and resets on exit,
+  also when it raises; before each size is built, the parts of the sizes
+  below the smallest start vector of that size are dropped.  A standalone
+  :func:`induct` computes its moves afresh.
 
 Any convention mismatch surfaces as :class:`InternalConsistencyError`, never
 as silently wrong numbers.
@@ -26,8 +35,9 @@ as silently wrong numbers.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from collections.abc import Iterable, Iterator, Mapping
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 from .core import REMOVABLE, Multicharge, Partition, is_2_restricted, partitions, signature
@@ -124,6 +134,28 @@ class FockVector:
         return f"FockVector<{inner or '0'}>"
 
 
+# (grown partition, exponent shift) for each addable i-node of a shape.
+Moves = list[tuple[Partition, int]]
+# table[n][i] maps each shape of size n to its moves of residue i.
+MoveTable = defaultdict[int, tuple[dict[Partition, Moves], dict[Partition, Moves]]]
+# Set by canonical_basis for its own call only.
+_move_table: ContextVar[MoveTable | None] = ContextVar("qspecht_fock_moves", default=None)
+
+
+def _moves(mu: Partition, kappa: Multicharge, i: int) -> Moves:
+    """The moves of ``mu`` for residue i, from one reversed scan of its
+    i-signature (see :func:`induct`)."""
+    out = []
+    count = 0
+    for (a, b, _), mark in reversed(signature((mu,), kappa, i)):
+        if mark == REMOVABLE:
+            count -= 1
+            continue
+        out.append((mu + (1,) if b == 1 else mu[: a - 1] + (b,) + mu[a:], count))
+        count += 1
+    return out
+
+
 def induct(v: FockVector, kappa: Multicharge, i: int) -> FockVector:
     """Apply the q-deformed i-node-adding operator to every term.
 
@@ -132,18 +164,22 @@ def induct(v: FockVector, kappa: Multicharge, i: int) -> FockVector:
     only nodes of the other residue, so that count is the number of '+'
     minus the number of '-' strictly after A in the i-signature of mu.  One
     reversed scan of the signature gives every shift, and each coefficient's
-    exponents are shifted, not multiplied.
+    exponents are shifted, not multiplied.  Inside :func:`canonical_basis`
+    the scan of each (mu, i) is read from the move table.
     """
     _require_level_one(kappa)
+    table = _move_table.get()
     acc: dict[Partition, dict[int, int]] = {}
     for mu, c in v._terms.items():
+        if table is None:
+            moves = _moves(mu, kappa, i)
+        else:
+            shapes = table[sum(mu)][i]
+            moves = shapes.get(mu)
+            if moves is None:
+                moves = shapes[mu] = _moves(mu, kappa, i)
         terms = c.terms()
-        count = 0
-        for (a, b, _), mark in reversed(signature((mu,), kappa, i)):
-            if mark == REMOVABLE:
-                count -= 1
-                continue
-            grown = mu + (1,) if b == 1 else mu[: a - 1] + (b,) + mu[a:]
+        for grown, count in moves:
             target = acc.get(grown)
             if target is None:
                 acc[grown] = {e + count: x for e, x in terms}
@@ -155,7 +191,6 @@ def induct(v: FockVector, kappa: Multicharge, i: int) -> FockVector:
                         target[e] = total
                     else:
                         del target[e]
-            count += 1
     return FockVector._adopt(
         {mu: LaurentPoly.from_clean(poly) for mu, poly in acc.items() if poly}
     )
@@ -262,6 +297,8 @@ def canonical_basis(
     The columns of every size up to d are built in turn.  Column mu starts
     from F_i^(k) applied to the finished vector of mu with its top ladder
     removed, which is held only until the last column that starts from it.
+    The moves of each shape are computed once for the call and kept in the
+    move table described in the module docstring.
     """
     _require_level_one(kappa)
     if d < 0:
@@ -273,19 +310,28 @@ def canonical_basis(
     uses = Counter(minus for size in sizes for _, (minus, _, _) in size)
     held = {(): FockVector.basis(())}
     columns = list(held.items())  # the one column of size 0
-    for size in sizes:
-        columns = []
-        for mu, (minus, i, k) in size:
-            if minus not in held:
-                raise InternalConsistencyError(
-                    f"the vector of {minus}, which the column {mu} starts from, is not held"
-                )
-            v = divided_induct(held[minus], kappa, i, k)
-            uses[minus] -= 1
-            if not uses[minus]:
-                del held[minus]
-            columns.append((mu, _reduce(mu, v, columns)))
-        held.update((mu, v) for mu, v in columns if uses[mu])
+    table: MoveTable = defaultdict(lambda: ({}, {}))
+    token = _move_table.set(table)
+    try:
+        for size in sizes:
+            # the columns of this size induct no shape smaller than low
+            low = min(sum(minus) for _, (minus, _, _) in size)
+            for n in [n for n in table if n < low]:
+                del table[n]
+            columns = []
+            for mu, (minus, i, k) in size:
+                if minus not in held:
+                    raise InternalConsistencyError(
+                        f"the vector of {minus}, which the column {mu} starts from, is not held"
+                    )
+                v = divided_induct(held[minus], kappa, i, k)
+                uses[minus] -= 1
+                if not uses[minus]:
+                    del held[minus]
+                columns.append((mu, _reduce(mu, v, columns)))
+            held.update((mu, v) for mu, v in columns if uses[mu])
+    finally:
+        _move_table.reset(token)
     return columns
 
 
@@ -305,14 +351,23 @@ class GradedDecompositionMatrix:
     def row(self, lam: Partition) -> list[LaurentPoly]:
         return [self.entry(lam, mu) for mu in self.cols]
 
+    def nonzero_cells(self) -> list[tuple[int, int, LaurentPoly]]:
+        """(row index, column index, entry) of every nonzero entry, in
+        row-major order."""
+        row_of = {lam: r for r, lam in enumerate(self.rows)}
+        col_of = {mu: c for c, mu in enumerate(self.cols)}
+        return sorted(
+            (row_of[lam], col_of[mu], entry) for (lam, mu), entry in self.entries.items() if entry
+        )
+
     def to_json(self) -> dict:
+        cells: list[list[list]] = [[[] for _ in self.cols] for _ in self.rows]
+        for r, c, entry in self.nonzero_cells():
+            cells[r][c] = entry.to_pairs()
         return {
             "rows": [",".join(map(str, lam)) if lam else "-" for lam in self.rows],
             "cols": [",".join(map(str, mu)) if mu else "-" for mu in self.cols],
-            "entries": [
-                [self.entry(lam, mu).to_pairs() for mu in self.cols]
-                for lam in self.rows
-            ],
+            "entries": cells,
         }
 
 

@@ -83,9 +83,15 @@ def _branch(
     return counts
 
 
+def _require_matching_level(lam: Multipartition, kappa: Multicharge) -> None:
+    if len(lam) != len(kappa):
+        raise ValueError(f"shape has {len(lam)} components but charge has {len(kappa)}")
+
+
 def qdim_specht(lam: Multipartition, kappa: Multicharge) -> LaurentPoly:
     """Graded dimension of the Specht module: the degree-generating function
     q^deg(t) summed over all standard tableaux of the shape."""
+    _require_matching_level(lam, kappa)
     memos = _memos.get()
     memo = {} if memos is None else memos.setdefault(kappa, {})
     return LaurentPoly(_branch(lam, kappa, memo))
@@ -96,6 +102,7 @@ def qdim_truncation(
 ) -> LaurentPoly:
     """Graded dimension of the residue-idempotent truncation: q^deg(t) summed
     over the standard tableaux with the given residue sequence."""
+    _require_matching_level(lam, kappa)
     if len(residues) != multipartition_size(lam):
         raise ValueError("residue sequence length does not match the shape size")
     return LaurentPoly(_branch(lam, kappa, {}, tuple(residues)))

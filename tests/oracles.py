@@ -202,6 +202,21 @@ def ladder_vector(mu, kappa=(0,)):
     return v
 
 
+def dense_matrix_json(matrix):
+    """The JSON form of a graded decomposition matrix, built by looking up
+    every (row, column) cell, zero or not."""
+    def name(p):
+        return ",".join(map(str, p)) if p else "-"
+
+    return {
+        "rows": [name(lam) for lam in matrix.rows],
+        "cols": [name(mu) for mu in matrix.cols],
+        "entries": [
+            [matrix.entry(lam, mu).to_pairs() for mu in matrix.cols] for lam in matrix.rows
+        ],
+    }
+
+
 def literal_truncations(lam, kappa):
     """The literal definition of graded dimensions, by residue sequence:
     q^degree(t) summed over ``standard_tableaux(lam)``."""

@@ -144,6 +144,26 @@ def test_llt_output_matches_frozen_digest(capsys, charge, fmt):
     assert digest == FROZEN_LLT_12_SHA256[charge, fmt]
 
 
+# sha256 of the stdout of `llt --d 16 --charge c --format f`, recorded from the
+# implementation that rendered and parity-checked every cell of the dense matrix
+FROZEN_LLT_16_SHA256 = {
+    ("0", "text"): "c566b90035d95fb6f5952eaef2c1b63c12ef946cae89c52036d3c0647b5dc100",
+    ("0", "json"): "a02a26b437114f985179e17b93a49326857fbf00b1f6083c5c41cc44f80b4c35",
+    ("0", "csv"): "6b1a49927505fbf1185d7d71408402b79b3ad15572232dc92c4a8670fe5c847b",
+    ("1", "text"): "c566b90035d95fb6f5952eaef2c1b63c12ef946cae89c52036d3c0647b5dc100",
+    ("1", "json"): "093df15e2f314ee5dd766e5c41b7e2a8e2ca46ec3f0f964b64dea77fff4094f9",
+    ("1", "csv"): "6b1a49927505fbf1185d7d71408402b79b3ad15572232dc92c4a8670fe5c847b",
+}
+
+
+@pytest.mark.parametrize("charge,fmt", sorted(FROZEN_LLT_16_SHA256))
+def test_llt_16_output_matches_frozen_digest(capsys, charge, fmt):
+    code, out = run(capsys, "llt", "--d", "16", "--charge", charge, "--format", fmt)
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == FROZEN_LLT_16_SHA256[charge, fmt]
+
+
 # sha256 of the stdout of the commands that call `core.degree_contribution`
 # directly (tableau listings and the row-tableau degree sweep), recorded from
 # the implementation that scanned addable and removable cells separately

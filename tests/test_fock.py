@@ -24,7 +24,7 @@ from qspecht.fock import (
 )
 from qspecht.laurent import LaurentPoly, ONE, Q, ZERO, q_power
 from qspecht.specht import qdim_specht
-from oracles import ladder_vector, ladder_word
+from oracles import dense_matrix_json, ladder_vector, ladder_word
 
 K0 = (0,)
 EMPTY = FockVector.basis(())
@@ -293,3 +293,54 @@ def test_a_start_vector_not_held_is_a_consistency_error(monkeypatch):
     monkeypatch.setattr(fock, "_top_ladder", wrong)
     with pytest.raises(fock.InternalConsistencyError, match=r"column \(2, 1, 1\)"):
         canonical_basis(5)
+
+
+def test_sparse_matrix_json_is_the_dense_one():
+    for c in (0, 1):
+        for d in range(17):
+            matrix = decomposition_matrix(d, (c,))
+            assert matrix.to_json() == dense_matrix_json(matrix), (d, c)
+
+
+def test_nonzero_cells_are_the_nonzero_entries_in_row_major_order():
+    matrix = decomposition_matrix(8)
+    cells = matrix.nonzero_cells()
+    assert [(r, c) for r, c, _ in cells] == sorted((r, c) for r, c, _ in cells)
+    assert {(matrix.rows[r], matrix.cols[c]): e for r, c, e in cells} == matrix.entries
+
+
+def test_move_table_lives_for_one_canonical_basis_call(monkeypatch):
+    assert fock._move_table.get() is None
+    canonical_basis(6)
+    assert fock._move_table.get() is None
+    seen = []
+
+    def failing(mu, v, earlier):
+        seen.append(fock._move_table.get())
+        raise fock.InternalConsistencyError("provoked")
+
+    monkeypatch.setattr(fock, "_reduce", failing)
+    with pytest.raises(fock.InternalConsistencyError, match="provoked"):
+        canonical_basis(6)
+    assert seen and seen[0] is not None
+    assert fock._move_table.get() is None
+
+
+def test_induct_from_the_move_table_is_the_standalone_induct(monkeypatch):
+    # every canonical vector of size <= 12 is inducted with the move table
+    # of the running canonical_basis call, then again outside any call
+    original = fock._reduce
+    for c in (0, 1):
+        inside = []
+
+        def reducing(mu, v, earlier, _c=c):
+            g = original(mu, v, earlier)
+            assert fock._move_table.get() is not None
+            inside.extend((g, i, induct(g, (_c,), i)) for i in (0, 1))
+            return g
+
+        monkeypatch.setattr(fock, "_reduce", reducing)
+        canonical_basis(12, (c,))
+        assert len(inside) == 2 * sum(len(restricted_partitions(s)) for s in range(1, 13))
+        for g, i, got in inside:
+            assert got == induct(g, (c,), i), (g, c, i)

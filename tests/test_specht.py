@@ -94,6 +94,14 @@ def test_qdim_truncation_length_check():
         qdim_truncation(((2,),), K0, (0,))
 
 
+@pytest.mark.parametrize("lam,kappa", [(((1,), (1,)), K0), (((1,),), (0, 1))])
+def test_level_mismatch_is_a_value_error(lam, kappa):
+    with pytest.raises(ValueError, match="components but charge has"):
+        qdim_specht(lam, kappa)
+    with pytest.raises(ValueError, match="components but charge has"):
+        qdim_truncation(lam, kappa, (0,) * sum(map(sum, lam)))
+
+
 def test_truncations_partition_the_graded_dimension():
     import itertools
 
