@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .core import Multicharge, Partition, as_partition, degree_parity
 from .laurent import LaurentPoly, ZERO, q_power
 from .specht import qdim_specht, qdim_truncation
-from .tableaux import _search, residue_sequence, row_filled_tableau
+from .tableaux import residue_sequence, row_filled_tableau
 
 
 class UndeterminedEntryError(Exception):
@@ -187,7 +187,8 @@ def evidence_report(
     d = sum(ev.mu)
     if ev.mu == (1,) * d:
         residues = residue_sequence(row_filled_tableau((ev.mu,)), kappa)
-        degrees = tuple(sorted(deg for _, deg in _search((ev.lam,), kappa, residues)))
+        truncation = qdim_truncation((ev.lam,), kappa, residues)
+        degrees = tuple(e for e, x in sorted(truncation.terms()) for _ in range(x))
         count: int | None = len(degrees)
     else:
         residues = None

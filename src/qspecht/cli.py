@@ -16,9 +16,9 @@ import sys
 from . import adjustment as adj
 from .core import (
     as_multicharge,
+    check_component_count,
     degree_parity,
     format_multipartition,
-    multipartition_size,
     parse_multipartition,
     parse_residues,
 )
@@ -48,12 +48,9 @@ def _parse_charge(text: str):
 def _parse_shape(text: str, charge):
     try:
         lam = parse_multipartition(text)
+        check_component_count(lam, charge)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    if len(lam) != len(charge):
-        raise UsageError(
-            f"shape has {len(lam)} components but charge has {len(charge)}"
-        )
     return lam
 
 
@@ -125,18 +122,14 @@ def _cmd_tableaux(args) -> int:
     charge = _parse_charge(args.charge)
     _check_level(args, charge)
     lam = _parse_shape(args.shape, charge)
-    wanted = None
-    if args.residues is not None:
-        try:
-            wanted = parse_residues(args.residues)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-        if len(wanted) != multipartition_size(lam):
-            raise UsageError("residue sequence length does not match the shape size")
-    listing = [
-        (t, deg, residue_sequence(t, charge))
-        for t, deg in standard_tableaux_with_degrees(lam, charge, wanted)
-    ]
+    try:
+        wanted = None if args.residues is None else parse_residues(args.residues)
+        listing = [
+            (t, deg, residue_sequence(t, charge))
+            for t, deg in standard_tableaux_with_degrees(lam, charge, wanted)
+        ]
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     payload = {
         "lambda": format_multipartition(lam),
         "charge": list(charge),
@@ -199,57 +192,57 @@ def _cmd_llt(args) -> int:
     _check_nonnegative(args.d, "--d")
     matrix = decomposition_matrix(args.d, charge)
     simples = simple_qdims(args.d, charge, matrix)
-    parity = {lam: degree_parity((lam,), charge) for lam in (*matrix.rows, *matrix.cols)}
+    parity = {lam: degree_parity(lam, charge) for lam in (*matrix.rows, *matrix.cols)}
     cells = matrix.nonzero_cells()  # a zero entry is pure of either parity
+    # violation lines name a shape (lam,) by its one partition lam
     violations = []
     for r, c, entry in cells:
         lam, mu = matrix.rows[r], matrix.cols[c]
         if not entry.is_pure_parity((parity[lam] + parity[mu]) % 2):
-            violations.append(f"entry ({lam}, {mu}) = {entry} impure")
+            violations.append(f"entry ({lam[0]}, {mu[0]}) = {entry} impure")
     for mu, poly in simples.items():
         if not poly.is_bar_symmetric():
-            violations.append(f"simple qdim for {mu} not bar-symmetric: {poly}")
+            violations.append(f"simple qdim for {mu[0]} not bar-symmetric: {poly}")
         if not poly.is_pure_parity(parity[mu]):
-            violations.append(f"simple qdim for {mu} impure: {poly}")
+            violations.append(f"simple qdim for {mu[0]} impure: {poly}")
     code = 0 if not violations else 1
-
-    def name(p):
-        return ",".join(map(str, p)) if p else "-"
+    cols = [format_multipartition(mu) for mu in matrix.cols]
 
     if args.format == "json":
         payload = {
             "d": args.d,
             "charge": list(charge),
             "matrix": matrix.to_json(),
-            "simples": {name(mu): simples[mu].to_pairs() for mu in matrix.cols},
+            "simples": {name: simples[mu].to_pairs() for name, mu in zip(cols, matrix.cols)},
             "parity_violations": violations,
         }
         _emit(payload, [], args.format)
         return code
 
-    table = [["0"] * len(matrix.cols) for _ in matrix.rows]
-    widths = [len(name(mu)) for mu in matrix.cols]
+    rows = [format_multipartition(lam) for lam in matrix.rows]
+    table = [["0"] * len(cols) for _ in rows]
+    widths = [len(name) for name in cols]
     for r, c, entry in cells:
         text = table[r][c] = str(entry)
         widths[c] = max(widths[c], len(text))
     if args.format == "csv":
-        lines = ["lambda," + ",".join(f'"{name(mu)}"' for mu in matrix.cols)]
-        for lam, row in zip(matrix.rows, table):
-            lines.append(f'"{name(lam)}",' + ",".join(f'"{text}"' for text in row))
+        lines = ["lambda," + ",".join(f'"{name}"' for name in cols)]
+        for name, row in zip(rows, table):
+            lines.append(f'"{name}",' + ",".join(f'"{text}"' for text in row))
         _emit(None, lines, args.format)
         return code
 
     lines = [f"decomposition matrix for d={args.d} (rows x cols = "
-             f"{len(matrix.rows)} x {len(matrix.cols)})"]
-    label_width = max((len(name(lam)) for lam in matrix.rows), default=1)
-    header = "  ".join(name(mu).rjust(w) for mu, w in zip(matrix.cols, widths))
+             f"{len(rows)} x {len(cols)})"]
+    label_width = max((len(name) for name in rows), default=1)
+    header = "  ".join(name.rjust(w) for name, w in zip(cols, widths))
     lines.append(" " * label_width + "  " + header)
-    for lam, row in zip(matrix.rows, table):
+    for name, row in zip(rows, table):
         texts = "  ".join(text.rjust(w) for text, w in zip(row, widths))
-        lines.append(f"{name(lam).ljust(label_width)}  {texts}")
+        lines.append(f"{name.ljust(label_width)}  {texts}")
     lines.append("simple graded dimensions:")
-    for mu in matrix.cols:
-        lines.append(f"  D({name(mu)}) = {simples[mu]}")
+    for name, mu in zip(cols, matrix.cols):
+        lines.append(f"  D({name}) = {simples[mu]}")
     lines += [f"violation: {v}" for v in violations]
     _emit(None, lines, args.format)
     return code
@@ -290,10 +283,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, fmt=("text", "json"), charge=True, level=True):
+    def common(p, *, fmt=("text", "json"), level=True):
         p.add_argument("--format", choices=fmt, default="text")
-        if charge:
-            p.add_argument("--charge", default="0", help="comma-separated residues")
+        p.add_argument("--charge", default="0", help="comma-separated residues")
         if level:
             p.add_argument("--level", type=int, default=None)
 

@@ -9,8 +9,9 @@ Conventions used throughout the package:
 * addable/removable node lists are returned in below-order (first
   component's top row first), so signed counts are reproducible;
 * :func:`signature` is the one node kernel: it alone decides which cells are
-  addable or removable i-nodes, and the node lists and the signed node count
-  of :func:`degree_contribution` are read from it.
+  addable or removable i-nodes, and the node lists, the signed node count of
+  :func:`degree_contribution` and :func:`steps` are read from it;
+* :func:`check_component_count` is the one shape/charge length check.
 """
 
 from __future__ import annotations
@@ -48,8 +49,14 @@ def as_multicharge(charges: Iterable[int]) -> Multicharge:
     return kappa
 
 
+def check_component_count(lam: Multipartition, kappa: Multicharge) -> None:
+    """Reject a shape whose component count differs from the charge's."""
+    if len(lam) != len(kappa):
+        raise ValueError(f"shape has {len(lam)} components but charge has {len(kappa)}")
+
+
 def multipartition_size(lam: Multipartition) -> int:
-    return sum(sum(comp) for comp in lam)
+    return sum(map(sum, lam))
 
 
 def empty_multipartition(level: int) -> Multipartition:
@@ -93,6 +100,7 @@ def signature(lam: Multipartition, kappa: Multicharge, i: int) -> list[tuple[Nod
     """
     if i not in RESIDUES:
         raise ValueError(f"residues must be 0 or 1, got {i!r}")
+    check_component_count(lam, kappa)
     out = []
     for m, comp in enumerate(lam, start=1):
         k = kappa[m - 1]
@@ -132,20 +140,6 @@ def with_node_added(lam: Multipartition, node: Node) -> Multipartition:
     return lam[: m - 1] + (tuple(comp),) + lam[m:]
 
 
-def with_node_removed(lam: Multipartition, node: Node) -> Multipartition:
-    a, b, m = node
-    if not 1 <= m <= len(lam):
-        raise ValueError(f"component {m} out of range for {lam!r}")
-    comp = list(lam[m - 1])
-    below = comp[a] if a < len(comp) else 0
-    if not (1 <= a <= len(comp) and b == comp[a - 1] and b > below):
-        raise ValueError(f"node {node!r} is not removable from {lam!r}")
-    comp[a - 1] -= 1
-    if comp[a - 1] == 0:
-        comp.pop()
-    return lam[: m - 1] + (tuple(comp),) + lam[m:]
-
-
 def degree_contribution(lam: Multipartition, kappa: Multicharge, node: Node) -> int:
     """Signed count for a node of the diagram: addable nodes of the node's
     residue strictly below it, minus removable ones strictly below it.
@@ -154,6 +148,7 @@ def degree_contribution(lam: Multipartition, kappa: Multicharge, node: Node) -> 
     the tableau's degree.  The count is read from the signature of the
     node's residue over its component and the components after it.
     """
+    check_component_count(lam, kappa)
     if not contains_node(lam, node):
         raise ValueError(f"node {node!r} is not in the diagram of {lam!r}")
     a0, _, m0 = node
@@ -162,6 +157,32 @@ def degree_contribution(lam: Multipartition, kappa: Multicharge, node: Node) -> 
         if m > 1 or a > a0:
             count += 1 if mark == ADDABLE else -1
     return count
+
+
+Steps = list[tuple[Multipartition, int]]
+
+
+def steps(lam: Multipartition, kappa: Multicharge, i: int) -> tuple[Steps, Steps]:
+    """``(grown, shrunk)``: each lam+A for an addable i-node A with the signed
+    count of A in lam+A, and each lam-A for a removable one with the count of
+    A in lam, lowest node first.  No row holds two signature nodes, and
+    adding A changes only nodes of the other residue, so either count is the
+    '+' minus the '-' strictly after A in the i-signature of lam.
+    """
+    grown: Steps = []
+    shrunk: Steps = []
+    count = 0
+    for (a, b, m), mark in reversed(signature(lam, kappa, i)):
+        comp = lam[m - 1]
+        if mark == ADDABLE:
+            comp = comp + (1,) if b == 1 else comp[: a - 1] + (b,) + comp[a:]
+            grown.append((lam[: m - 1] + (comp,) + lam[m:], count))
+            count += 1
+        else:
+            comp = comp[: a - 1] + (b - 1,) + comp[a:] if b > 1 else comp[: a - 1]
+            shrunk.append((lam[: m - 1] + (comp,) + lam[m:], count))
+            count -= 1
+    return grown, shrunk
 
 
 def partition_parity(p: Partition) -> int:
@@ -187,10 +208,7 @@ def degree_parity(lam: Multipartition, kappa: Multicharge) -> int:
     components j < m, the number of nodes in component j whose residue equals
     the charge of component m.
     """
-    if len(lam) != len(kappa):
-        raise ValueError(
-            f"multipartition has {len(lam)} components but multicharge has {len(kappa)}"
-        )
+    check_component_count(lam, kappa)
     total = sum(partition_parity(comp) for comp in lam)
     for j in range(len(lam)):
         for m in range(j + 1, len(lam)):

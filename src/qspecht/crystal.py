@@ -30,6 +30,7 @@ from .core import (
     Multicharge,
     Multipartition,
     Partition,
+    check_component_count,
     empty_multipartition,
     signature,
     with_node_added,
@@ -77,6 +78,7 @@ def add_good_node(
     """Add the good addable i-node, or return None if there is none."""
     if i not in RESIDUES:
         raise ValueError(f"residues must be 0 or 1, got {i!r}")
+    check_component_count(lam, kappa)
     memo = _memo.get() or _new_memo()
     pending = 0
     good = None

@@ -1,17 +1,21 @@
-"""Level-1 q-deformed Fock space and the canonical-basis computation of the
-characteristic-0 graded decomposition matrix.
+"""The q-deformed Fock space at every level, and the level-1 canonical-basis
+computation of the characteristic-0 graded decomposition matrix.
 
 Conventions, all pinned operationally by the reconstruction identity
 (column-combination of simple graded dimensions recovers every Specht graded
 dimension, exactly):
 
+* vectors are keyed by multipartitions at every level, a level-1 shape being
+  ``(mu,)``;
 * the node-adding operator contributes q^(signed node count of the added node
   in the grown shape), so monomial exponents match tableau-degree increments;
   every such count is read off one reversed scan of the i-signature of the
-  shape before the node is added (see :func:`induct`);
+  shape before the node is added (:func:`core.steps`), at every level
+  (Brundan-Kleshchev, "Graded decomposition numbers for cyclotomic Hecke
+  algebras");
 * ladders for quantum characteristic 2 are the diagonals row+column-1; each
-  carries a single residue, and the top ladder of a shape is its largest
-  diagonal;
+  carries a single residue, and the top ladder of a partition is its largest
+  diagonal.  Top ladders, and so :func:`canonical_basis`, are level-1 only;
 * canonical-basis elements are computed size by size, per 2-restricted
   shape in descending reverse-lexicographic order (a linear extension of
   dominance).  The vector of mu starts as the divided power F_i^(k) of the
@@ -19,14 +23,14 @@ dimension, exactly):
   (the recursive form of Lascoux-Leclerc-Thibon), then bar-symmetric
   multiples of earlier elements of the same size are subtracted until every
   off-leading coefficient has positive exponents only;
-* the moves of a shape mu for residue i, the list of (grown partition,
-  exponent shift) pairs of its addable i-nodes, depend on mu and i only.
-  Inside one :func:`canonical_basis` call they are computed once per
-  (mu, i) and kept in a move table, one part per size, which every
+* the moves of a shape mu for residue i, the list of (grown shape, exponent
+  shift) pairs of its addable i-nodes, depend on mu and i only.  Inside one
+  :func:`canonical_basis` call they are computed once per (mu, i) and kept
+  in a move table, one dict per residue keyed by shape, which every
   :func:`induct` of that call reads.  The table lives in a ``ContextVar``
   that :func:`canonical_basis` sets for its own call and resets on exit,
-  also when it raises; before each size is built, the parts of the sizes
-  below the smallest start vector of that size are dropped.  A standalone
+  also when it raises; before each size is built, the shapes smaller than
+  the smallest start vector of that size are dropped.  A standalone
   :func:`induct` computes its moves afresh.
 
 Any convention mismatch surfaces as :class:`InternalConsistencyError`, never
@@ -35,12 +39,23 @@ as silently wrong numbers.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping
 from contextvars import ContextVar
 from dataclasses import dataclass
 
-from .core import REMOVABLE, Multicharge, Partition, is_2_restricted, partitions, signature
+from .core import (
+    Multicharge,
+    Multipartition,
+    Partition,
+    Steps,
+    format_multipartition,
+    is_2_restricted,
+    multipartition_size,
+    multipartitions,
+    partitions,
+    steps,
+)
 from .laurent import LaurentPoly, ONE, ZERO, q_factorial
 
 
@@ -48,22 +63,18 @@ class InternalConsistencyError(Exception):
     """A structural assumption failed; indicates a convention bug upstream."""
 
 
-def _require_level_one(kappa: Multicharge) -> None:
-    if len(kappa) != 1:
-        raise ValueError("Fock-space operations are implemented for level 1 only")
-
-
 class FockVector:
-    """Finitely supported map from partitions to Laurent polynomials."""
+    """Finitely supported map from multipartitions to Laurent polynomials."""
 
     __slots__ = ("_terms",)
 
     def __init__(
         self,
-        terms: Mapping[Partition, LaurentPoly] | Iterable[tuple[Partition, LaurentPoly]] = (),
+        terms: Mapping[Multipartition, LaurentPoly]
+        | Iterable[tuple[Multipartition, LaurentPoly]] = (),
     ):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        clean: dict[Partition, LaurentPoly] = {}
+        clean: dict[Multipartition, LaurentPoly] = {}
         for mu, coeff in items:
             if coeff:
                 acc = clean.get(mu)
@@ -75,23 +86,23 @@ class FockVector:
         self._terms = clean
 
     @classmethod
-    def _adopt(cls, terms: dict[Partition, LaurentPoly]) -> "FockVector":
+    def _adopt(cls, terms: dict[Multipartition, LaurentPoly]) -> "FockVector":
         """Take ``terms``, which has no zero coefficient, without copying it."""
         out = cls.__new__(cls)
         out._terms = terms
         return out
 
     @classmethod
-    def basis(cls, mu: Partition) -> "FockVector":
+    def basis(cls, mu: Multipartition) -> "FockVector":
         return cls({mu: ONE})
 
-    def coefficient(self, mu: Partition) -> LaurentPoly:
+    def coefficient(self, mu: Multipartition) -> LaurentPoly:
         return self._terms.get(mu, ZERO)
 
-    def support(self) -> tuple[Partition, ...]:
+    def support(self) -> tuple[Multipartition, ...]:
         return tuple(sorted(self._terms, reverse=True))
 
-    def items(self) -> Iterator[tuple[Partition, LaurentPoly]]:
+    def items(self) -> Iterator[tuple[Multipartition, LaurentPoly]]:
         for mu in self.support():
             yield mu, self._terms[mu]
 
@@ -130,54 +141,35 @@ class FockVector:
         return self.sub_scaled(ONE, other)
 
     def __repr__(self) -> str:
-        inner = " + ".join(f"({c})|{list(mu)}>" for mu, c in self.items())
+        inner = " + ".join(f"({c})|{format_multipartition(mu)}>" for mu, c in self.items())
         return f"FockVector<{inner or '0'}>"
 
 
-# (grown partition, exponent shift) for each addable i-node of a shape.
-Moves = list[tuple[Partition, int]]
-# table[n][i] maps each shape of size n to its moves of residue i.
-MoveTable = defaultdict[int, tuple[dict[Partition, Moves], dict[Partition, Moves]]]
+# table[i] maps each shape to its moves of residue i, the grown half of its steps.
+MoveTable = tuple[dict[Multipartition, Steps], dict[Multipartition, Steps]]
 # Set by canonical_basis for its own call only.
 _move_table: ContextVar[MoveTable | None] = ContextVar("qspecht_fock_moves", default=None)
-
-
-def _moves(mu: Partition, kappa: Multicharge, i: int) -> Moves:
-    """The moves of ``mu`` for residue i, from one reversed scan of its
-    i-signature (see :func:`induct`)."""
-    out = []
-    count = 0
-    for (a, b, _), mark in reversed(signature((mu,), kappa, i)):
-        if mark == REMOVABLE:
-            count -= 1
-            continue
-        out.append((mu + (1,) if b == 1 else mu[: a - 1] + (b,) + mu[a:], count))
-        count += 1
-    return out
 
 
 def induct(v: FockVector, kappa: Multicharge, i: int) -> FockVector:
     """Apply the q-deformed i-node-adding operator to every term.
 
-    Adding the i-node A to mu contributes q^(signed count of A in mu+A).  An
-    addable and a removable i-node never share a row, and adding A changes
-    only nodes of the other residue, so that count is the number of '+'
-    minus the number of '-' strictly after A in the i-signature of mu.  One
-    reversed scan of the signature gives every shift, and each coefficient's
-    exponents are shifted, not multiplied.  Inside :func:`canonical_basis`
-    the scan of each (mu, i) is read from the move table.
+    Adding the i-node A to mu contributes q^(signed count of A in mu+A).
+    :func:`core.steps` gives every mu+A with that count from one reversed
+    scan of the i-signature of mu, and each coefficient's exponents are
+    shifted, not multiplied.  Inside :func:`canonical_basis` the scan of
+    each (mu, i) is read from the move table.
     """
-    _require_level_one(kappa)
     table = _move_table.get()
-    acc: dict[Partition, dict[int, int]] = {}
+    acc: dict[Multipartition, dict[int, int]] = {}
     for mu, c in v._terms.items():
         if table is None:
-            moves = _moves(mu, kappa, i)
+            moves = steps(mu, kappa, i)[0]
         else:
-            shapes = table[sum(mu)][i]
+            shapes = table[i]
             moves = shapes.get(mu)
             if moves is None:
-                moves = shapes[mu] = _moves(mu, kappa, i)
+                moves = shapes[mu] = steps(mu, kappa, i)[0]
         terms = c.terms()
         for grown, count in moves:
             target = acc.get(grown)
@@ -204,14 +196,13 @@ def divided_induct(v: FockVector, kappa: Multicharge, i: int, k: int) -> FockVec
     """
     if k < 0:
         raise ValueError("the power must be nonnegative")
-    _require_level_one(kappa)
     out = v
     for _ in range(k):
         out = induct(out, kappa, i)
     if k < 2:
         return out
     divisor = q_factorial(k)
-    divided: dict[Partition, LaurentPoly] = {}
+    divided: dict[Multipartition, LaurentPoly] = {}
     for mu, c in out._terms.items():
         try:
             divided[mu] = c.exact_div(divisor)
@@ -253,7 +244,7 @@ def _bar_symmetric_low_part(c: LaurentPoly) -> LaurentPoly:
 
 
 def _reduce(
-    mu: Partition, v: FockVector, earlier: list[tuple[Partition, FockVector]]
+    mu: Multipartition, v: FockVector, earlier: list[tuple[Multipartition, FockVector]]
 ) -> FockVector:
     """The canonical vector of ``mu``, from a bar-invariant ``v`` with
     coefficient 1 at ``mu``: subtract bar-symmetric multiples of the
@@ -288,9 +279,9 @@ def _reduce(
 
 def canonical_basis(
     d: int, kappa: Multicharge = (0,)
-) -> list[tuple[Partition, FockVector]]:
-    """Canonical-basis vectors indexed by the 2-restricted partitions of d,
-    in descending reverse-lexicographic order.
+) -> list[tuple[Multipartition, FockVector]]:
+    """Canonical-basis vectors indexed by the shapes ``(mu,)`` with mu a
+    2-restricted partition of d, in descending reverse-lexicographic order.
 
     Each returned vector has coefficient exactly 1 at its index, all other
     coefficients with positive exponents and nonnegative integer terms.
@@ -300,7 +291,8 @@ def canonical_basis(
     The moves of each shape are computed once for the call and kept in the
     move table described in the module docstring.
     """
-    _require_level_one(kappa)
+    if len(kappa) != 1:
+        raise ValueError("the canonical-basis computation is level-1 only")
     if d < 0:
         raise ValueError("size must be nonnegative")
     sizes = [
@@ -308,16 +300,17 @@ def canonical_basis(
         for s in range(1, d + 1)
     ]
     uses = Counter(minus for size in sizes for _, (minus, _, _) in size)
-    held = {(): FockVector.basis(())}
-    columns = list(held.items())  # the one column of size 0
-    table: MoveTable = defaultdict(lambda: ({}, {}))
+    held = {(): FockVector.basis(((),))}  # finished vectors, by partition
+    columns = [(((),), held[()])]  # the one column of size 0
+    table: MoveTable = ({}, {})
     token = _move_table.set(table)
     try:
         for size in sizes:
             # the columns of this size induct no shape smaller than low
             low = min(sum(minus) for _, (minus, _, _) in size)
-            for n in [n for n in table if n < low]:
-                del table[n]
+            for shapes in table:
+                for mu in [mu for mu in shapes if multipartition_size(mu) < low]:
+                    del shapes[mu]
             columns = []
             for mu, (minus, i, k) in size:
                 if minus not in held:
@@ -328,8 +321,8 @@ def canonical_basis(
                 uses[minus] -= 1
                 if not uses[minus]:
                     del held[minus]
-                columns.append((mu, _reduce(mu, v, columns)))
-            held.update((mu, v) for mu, v in columns if uses[mu])
+                columns.append(((mu,), _reduce((mu,), v, columns)))
+            held.update((mu, v) for (mu,), v in columns if uses[mu])
     finally:
         _move_table.reset(token)
     return columns
@@ -338,17 +331,17 @@ def canonical_basis(
 @dataclass(frozen=True)
 class GradedDecompositionMatrix:
     """Sparse matrix of graded decomposition numbers, with fixed index orders:
-    rows are all partitions of d and columns the 2-restricted ones, both in
-    descending reverse-lexicographic order."""
+    rows are all shapes ``(lam,)`` with lam a partition of d and columns the
+    2-restricted ones, both in descending reverse-lexicographic order."""
 
-    rows: tuple[Partition, ...]
-    cols: tuple[Partition, ...]
-    entries: dict[tuple[Partition, Partition], LaurentPoly]
+    rows: tuple[Multipartition, ...]
+    cols: tuple[Multipartition, ...]
+    entries: dict[tuple[Multipartition, Multipartition], LaurentPoly]
 
-    def entry(self, lam: Partition, mu: Partition) -> LaurentPoly:
+    def entry(self, lam: Multipartition, mu: Multipartition) -> LaurentPoly:
         return self.entries.get((lam, mu), ZERO)
 
-    def row(self, lam: Partition) -> list[LaurentPoly]:
+    def row(self, lam: Multipartition) -> list[LaurentPoly]:
         return [self.entry(lam, mu) for mu in self.cols]
 
     def nonzero_cells(self) -> list[tuple[int, int, LaurentPoly]]:
@@ -365,38 +358,34 @@ class GradedDecompositionMatrix:
         for r, c, entry in self.nonzero_cells():
             cells[r][c] = entry.to_pairs()
         return {
-            "rows": [",".join(map(str, lam)) if lam else "-" for lam in self.rows],
-            "cols": [",".join(map(str, mu)) if mu else "-" for mu in self.cols],
+            "rows": [format_multipartition(lam) for lam in self.rows],
+            "cols": [format_multipartition(mu) for mu in self.cols],
             "entries": cells,
         }
 
 
 def decomposition_matrix(d: int, kappa: Multicharge = (0,)) -> GradedDecompositionMatrix:
     """Characteristic-0 graded decomposition matrix from the canonical basis."""
-    rows = tuple(partitions(d))
     basis = canonical_basis(d, kappa)
+    rows = tuple(multipartitions(d, 1))
     cols = tuple(mu for mu, _ in basis)
-    entries: dict[tuple[Partition, Partition], LaurentPoly] = {}
-    for mu, vector in basis:
-        for lam, c in vector.items():
-            entries[(lam, mu)] = c
+    entries = {(lam, mu): c for mu, vector in basis for lam, c in vector._terms.items()}
     return GradedDecompositionMatrix(rows=rows, cols=cols, entries=entries)
 
 
 def simple_qdims(
     d: int, kappa: Multicharge = (0,), matrix: GradedDecompositionMatrix | None = None
-) -> dict[Partition, LaurentPoly]:
+) -> dict[Multipartition, LaurentPoly]:
     """Graded dimensions of the simple modules in characteristic 0, solved by
     back-substitution through the unitriangular decomposition system.  The
     Specht graded dimensions of the columns share one memo."""
     from .specht import _shared_memo, qdim_specht
 
-    _require_level_one(kappa)
     if matrix is None:
         matrix = decomposition_matrix(d, kappa)
     with _shared_memo():
-        spechts = {mu: qdim_specht((mu,), kappa) for mu in matrix.cols}
-    simples: dict[Partition, LaurentPoly] = {}
+        spechts = {mu: qdim_specht(mu, kappa) for mu in matrix.cols}
+    simples: dict[Multipartition, LaurentPoly] = {}
     for mu in reversed(matrix.cols):  # ascending dominance
         total = spechts[mu]
         for nu in matrix.cols:

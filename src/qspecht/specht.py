@@ -7,8 +7,9 @@ the signed node count d_A(lam) to the tableau's degree, so
     qdim S(lam) = sum over removable A of q^{d_A(lam)} * qdim S(lam - A),
 
 with qdim S(empty) = 1.  This is the degree of Brundan-Kleshchev-Wang,
-"Graded Specht modules", read off one entry at a time; the recursion visits
-each subdiagram once instead of each tableau.
+"Graded Specht modules", read off one entry at a time; the recursion takes
+each lam - A with d_A(lam) from :func:`core.steps` and visits each subdiagram
+once instead of each tableau.
 """
 
 from __future__ import annotations
@@ -22,13 +23,12 @@ from .core import (
     RESIDUES,
     Multicharge,
     Multipartition,
-    degree_contribution,
+    check_component_count,
     degree_parity,
     format_multipartition,
     multipartition_size,
     multipartitions,
-    removable_nodes,
-    with_node_removed,
+    steps,
 )
 from .laurent import LaurentPoly
 from .tableaux import degree, row_filled_tableau
@@ -73,25 +73,19 @@ def _branch(
     counts: Counts = {} if any(lam) else {0: 1}
     rest = None if residues is None else residues[:-1]
     for i in RESIDUES if residues is None else residues[-1:]:
-        for node in removable_nodes(lam, kappa, i):
-            sub = _branch(with_node_removed(lam, node), kappa, memo, rest)
+        for shrunk, shift in steps(lam, kappa, i)[1]:
+            sub = _branch(shrunk, kappa, memo, rest)
             if sub:
-                shift = degree_contribution(lam, kappa, node)
                 for deg, count in sub.items():
                     counts[deg + shift] = counts.get(deg + shift, 0) + count
     memo[lam] = counts
     return counts
 
 
-def _require_matching_level(lam: Multipartition, kappa: Multicharge) -> None:
-    if len(lam) != len(kappa):
-        raise ValueError(f"shape has {len(lam)} components but charge has {len(kappa)}")
-
-
 def qdim_specht(lam: Multipartition, kappa: Multicharge) -> LaurentPoly:
     """Graded dimension of the Specht module: the degree-generating function
     q^deg(t) summed over all standard tableaux of the shape."""
-    _require_matching_level(lam, kappa)
+    check_component_count(lam, kappa)
     memos = _memos.get()
     memo = {} if memos is None else memos.setdefault(kappa, {})
     return LaurentPoly(_branch(lam, kappa, memo))
@@ -102,7 +96,7 @@ def qdim_truncation(
 ) -> LaurentPoly:
     """Graded dimension of the residue-idempotent truncation: q^deg(t) summed
     over the standard tableaux with the given residue sequence."""
-    _require_matching_level(lam, kappa)
+    check_component_count(lam, kappa)
     if len(residues) != multipartition_size(lam):
         raise ValueError("residue sequence length does not match the shape size")
     return LaurentPoly(_branch(lam, kappa, {}, tuple(residues)))

@@ -18,6 +18,7 @@ from .core import (
     Multicharge,
     Multipartition,
     Node,
+    check_component_count,
     degree_contribution,
     format_multipartition,
     multipartition_size,
@@ -144,8 +145,7 @@ def standard_tableaux_with_degrees(
 ) -> Iterator[tuple[StandardTableau, int]]:
     """Standard tableaux of ``lam`` with their degrees; with ``residues`` set,
     only those with that residue sequence, found by the pruned search."""
-    if len(lam) != len(kappa):
-        raise ValueError("shape level does not match the multicharge length")
+    check_component_count(lam, kappa)
     if residues is not None and len(residues) != multipartition_size(lam):
         raise ValueError("residue sequence length does not match the shape size")
     if residues is not None and any(i not in RESIDUES for i in residues):
@@ -163,8 +163,7 @@ def tableaux_with_residue_sequence(
 
 def residue_sequence(t: StandardTableau, kappa: Multicharge) -> tuple[int, ...]:
     """Entrywise residues of the occupied nodes."""
-    if len(t.shape) != len(kappa):
-        raise ValueError("shape level does not match the multicharge length")
+    check_component_count(t.shape, kappa)
     return tuple((kappa[m - 1] + b - a) % 2 for (a, b, m) in t.places)
 
 
@@ -172,8 +171,7 @@ def degree(t: StandardTableau, kappa: Multicharge) -> int:
     """Degree of a standard tableau, by the literal recursion over prefixes:
     the signed node count of the last-placed entry in the grown shape, plus
     the degree of the rest."""
-    if len(t.shape) != len(kappa):
-        raise ValueError("shape level does not match the multicharge length")
+    check_component_count(t.shape, kappa)
     partial: Multipartition = ((),) * len(t.shape)
     total = 0
     for node in t.places:

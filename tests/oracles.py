@@ -2,6 +2,7 @@
 paths they are checking."""
 
 from functools import lru_cache
+from itertools import combinations
 from math import factorial
 
 from qspecht.core import (
@@ -9,11 +10,25 @@ from qspecht.core import (
     empty_multipartition,
     is_2_restricted,
     with_node_added,
-    with_node_removed,
 )
 from qspecht.fock import FockVector, divided_induct
 from qspecht.laurent import ZERO, LaurentPoly, q_power
 from qspecht.tableaux import degree, residue_sequence, standard_tableaux
+
+
+def with_node_removed(lam, node):
+    """``lam`` with the removable node ``node`` taken out."""
+    a, b, m = node
+    if not 1 <= m <= len(lam):
+        raise ValueError(f"component {m} out of range for {lam!r}")
+    comp = list(lam[m - 1])
+    below = comp[a] if a < len(comp) else 0
+    if not (1 <= a <= len(comp) and b == comp[a - 1] and b > below):
+        raise ValueError(f"node {node!r} is not removable from {lam!r}")
+    comp[a - 1] -= 1
+    if comp[a - 1] == 0:
+        comp.pop()
+    return lam[: m - 1] + (tuple(comp),) + lam[m:]
 
 
 def conjugate(p):
@@ -140,6 +155,28 @@ def degree_contribution(lam, kappa, node):
     )
 
 
+def divided_power(lam, kappa, i, k):
+    """F_i^(k) applied to ``lam``, by the closed formula of Lascoux, Leclerc
+    and Thibon: one term lam+S for each set S of k addable i-nodes, with the
+    exponent summed over A in S of the addable i-nodes outside S below A
+    minus the removable i-nodes below A.  For k = 1 this is one node-adding
+    step."""
+    add = addable_nodes(lam, kappa, i)
+    rem = removable_nodes(lam, kappa, i)
+    out = {}
+    for nodes in combinations(add, k):
+        grown = lam
+        for node in nodes:
+            grown = with_node_added(grown, node)
+        exponent = sum(
+            sum(is_below(other, node) for other in add if other not in nodes)
+            - sum(is_below(other, node) for other in rem)
+            for node in nodes
+        )
+        out[grown] = q_power(exponent)
+    return out
+
+
 def node_signature(lam, kappa, i):
     """The i-signature as two literal lists merged by a sort: addable nodes
     marked '+', removable ones '-', in below-order."""
@@ -196,7 +233,7 @@ def ladder_word(mu, charge=0):
 def ladder_vector(mu, kappa=(0,)):
     """Divided-power induction along the ladder word of ``mu``, from the
     empty diagram, sharing nothing with other columns."""
-    v = FockVector.basis(())
+    v = FockVector.basis(((),))
     for i, k in ladder_word(mu, kappa[0]):
         v = divided_induct(v, kappa, i, k)
     return v
@@ -209,8 +246,8 @@ def dense_matrix_json(matrix):
         return ",".join(map(str, p)) if p else "-"
 
     return {
-        "rows": [name(lam) for lam in matrix.rows],
-        "cols": [name(mu) for mu in matrix.cols],
+        "rows": [name(lam) for (lam,) in matrix.rows],
+        "cols": [name(mu) for (mu,) in matrix.cols],
         "entries": [
             [matrix.entry(lam, mu).to_pairs() for mu in matrix.cols] for lam in matrix.rows
         ],

@@ -118,21 +118,21 @@ def test_criterion_5_canonical_basis_suite():
                     entry.min_exponent() < 1 or any(c < 0 for _, c in entry.to_pairs())
                 ):
                     failures.append(("off-diagonal", d, lam, mu))
-                parity = (degree_parity((lam,), K0) + degree_parity((mu,), K0)) % 2
+                parity = (degree_parity(lam, K0) + degree_parity(mu, K0)) % 2
                 if not entry.is_pure_parity(parity):
                     failures.append(("entry-parity", d, lam, mu))
         for lam in matrix.rows:
             total = LaurentPoly()
             for mu in matrix.cols:
                 total = total + matrix.entry(lam, mu) * simples[mu]
-            if total != qdim_specht((lam,), K0):
+            if total != qdim_specht(lam, K0):
                 failures.append(("reconstruction", d, lam))
         for mu, poly in simples.items():
             if not poly.is_bar_symmetric():
                 failures.append(("bar", d, mu))
-            if not poly.is_pure_parity(degree_parity((mu,), K0)):
+            if not poly.is_pure_parity(degree_parity(mu, K0)):
                 failures.append(("simple-parity", d, mu))
-            if degree_parity((mu,), K0) == 1 and poly.eval_at_one() % 2:
+            if degree_parity(mu, K0) == 1 and poly.eval_at_one() % 2:
                 failures.append(("even-dimension", d, mu))
     ok = not failures
     _report(5, "canonical-basis suite for d<=10: unitriangular positive "

@@ -13,6 +13,12 @@ from qspecht.adjustment import (
 from qspecht.core import degree_parity
 from qspecht.fock import decomposition_matrix
 from qspecht.laurent import LaurentPoly, ONE, Q, ZERO, q_power
+from qspecht.tableaux import (
+    degree,
+    residue_sequence,
+    row_filled_tableau,
+    tableaux_with_residue_sequence,
+)
 
 K0 = (0,)
 
@@ -113,13 +119,13 @@ def test_adjusted_entry_for_pinned_column():
     # multiply the d=8 characteristic-0 row of (3,2,2,1) with the adjustment
     # column of the column-shape, filled with the pinned entry
     matrix = decomposition_matrix(8)
-    lam = (3, 2, 2, 1)
+    lam = ((3, 2, 2, 1),)
     pinned = pin_via_truncation(published_evidence()[0], K0)
     column = []
     for nu in matrix.cols:
         if nu == lam:
             column.append(pinned)
-        elif nu == (1,) * 8:
+        elif nu == ((1,) * 8,):
             column.append(ONE)
         else:
             column.append(ZERO)
@@ -140,3 +146,15 @@ def test_evidence_reports():
     assert last.note.startswith("undetermined")
     assert last.tableau_count is None
     assert len(last.candidates) >= 1
+
+
+@pytest.mark.parametrize("kappa", [(0,), (1,)])
+def test_evidence_counts_are_the_listed_tableaux(kappa):
+    # the report reads the truncation's graded dimension; the listing
+    # enumerates the tableaux with the column's residue sequence
+    for ev in published_evidence()[:3]:
+        report = evidence_report(ev, kappa)
+        residues = residue_sequence(row_filled_tableau((ev.mu,)), kappa)
+        found = tableaux_with_residue_sequence((ev.lam,), kappa, residues)
+        assert report.tableau_count == len(found) > 0
+        assert report.degrees == tuple(sorted(degree(t, kappa) for t in found))

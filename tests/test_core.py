@@ -22,8 +22,8 @@ from qspecht.core import (
     residue_node_count,
     residue_of,
     signature,
+    steps,
     with_node_added,
-    with_node_removed,
     young_nodes,
 )
 from qspecht.crystal import add_good_node
@@ -36,6 +36,7 @@ from oracles import (
     is_below,
     node_signature,
     partition_count,
+    with_node_removed,
 )
 
 
@@ -156,15 +157,40 @@ def test_node_kernel_matches_the_literal_definitions():
     assert nodes == 31236
 
 
+def test_steps_match_the_literal_definitions():
+    # every grown and shrunk shape with its shift, against the oracle node
+    # lists and signed counts; both lists run upwards from the lowest node
+    cases = 0
+    for level, max_d in ((1, 10), (2, 6), (3, 4)):
+        for kappa in itertools.product((0, 1), repeat=level):
+            for d in range(max_d + 1):
+                for lam in multipartitions(d, level):
+                    for i in (0, 1):
+                        grown = [
+                            (with_node_added(lam, node), node)
+                            for node in reversed(oracles.addable_nodes(lam, kappa, i))
+                        ]
+                        shrunk = [
+                            (with_node_removed(lam, node), node)
+                            for node in reversed(oracles.removable_nodes(lam, kappa, i))
+                        ]
+                        assert steps(lam, kappa, i) == (
+                            [(g, oracles.degree_contribution(g, kappa, A)) for g, A in grown],
+                            [(s, oracles.degree_contribution(lam, kappa, A)) for s, A in shrunk],
+                        ), (lam, kappa, i)
+                        cases += 1
+    assert cases == 2 * (2 * 139 + 4 * 139 + 8 * 86)
+
+
 @pytest.mark.parametrize("i", [2, -1])
 def test_residue_outside_zero_one_is_rejected(i):
     # the row pass reads "end cell not of residue i" as an addable node, so
     # an unchecked residue would list every row's addable node
-    for kernel in (signature, addable_nodes, removable_nodes, add_good_node):
+    for kernel in (signature, addable_nodes, removable_nodes, steps, add_good_node):
         with pytest.raises(ValueError):
             kernel(((1,),), (0,), i)
     with pytest.raises(ValueError):
-        induct(FockVector.basis((1,)), (0,), i)
+        induct(FockVector.basis(((1,),)), (0,), i)
 
 
 def test_degree_contribution_examples():

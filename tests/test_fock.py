@@ -1,6 +1,7 @@
 import hashlib
 import json
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -11,6 +12,7 @@ from qspecht.core import (
     degree_contribution,
     degree_parity,
     is_2_restricted,
+    multipartitions,
     partitions,
     with_node_added,
 )
@@ -24,37 +26,69 @@ from qspecht.fock import (
 )
 from qspecht.laurent import LaurentPoly, ONE, Q, ZERO, q_power
 from qspecht.specht import qdim_specht
-from oracles import dense_matrix_json, ladder_vector, ladder_word
+from oracles import dense_matrix_json, divided_power, ladder_vector, ladder_word
 
 K0 = (0,)
-EMPTY = FockVector.basis(())
+EMPTY = FockVector.basis(((),))
 
 
 def test_fock_vector_basics():
-    v = FockVector({(2,): Q, (1, 1): ONE})
-    assert v.coefficient((2,)) == Q
-    assert v.coefficient((3,)) == ZERO
-    assert v.support() == ((2,), (1, 1))
+    v = FockVector({((2,),): Q, ((1, 1),): ONE})
+    assert v.coefficient(((2,),)) == Q
+    assert v.coefficient(((3,),)) == ZERO
+    assert v.support() == (((2,),), ((1, 1),))
     assert v - v == FockVector()
-    assert FockVector({(1,): ZERO}) == FockVector()
+    assert FockVector({((1,),): ZERO}) == FockVector()
 
 
 def test_induct_examples():
-    assert induct(EMPTY, K0, 0) == FockVector.basis((1,))
-    assert induct(FockVector.basis((1,)), K0, 1) == FockVector(
-        {(2,): Q, (1, 1): ONE}
+    assert induct(EMPTY, K0, 0) == FockVector.basis(((1,),))
+    assert induct(FockVector.basis(((1,),)), K0, 1) == FockVector(
+        {((2,),): Q, ((1, 1),): ONE}
     )
-    assert induct(FockVector.basis((2,)), K0, 1) == FockVector.basis((2, 1))
+    assert induct(FockVector.basis(((2,),)), K0, 1) == FockVector.basis(((2, 1),))
 
 
-def test_induct_level_one_only():
-    with pytest.raises(ValueError):
-        induct(EMPTY, (0, 1), 0)
+@pytest.mark.parametrize("level, max_d", [(2, 5), (3, 4)])
+def test_induct_and_divided_powers_match_the_closed_formula(level, max_d):
+    # every shape, charge and residue: one step and the divided powers of
+    # order 2 and 3 (whose [k]! must divide exactly), on each basis vector
+    # and on a combination of all shapes of a size
+    cases = 0
+    for kappa in product((0, 1), repeat=level):
+        for d in range(max_d + 1):
+            shapes = list(multipartitions(d, level))
+            mixed = FockVector({lam: q_power(n) for n, lam in enumerate(shapes)})
+            for i in (0, 1):
+                for k in (1, 2, 3):
+                    got = induct(mixed, kappa, i) if k == 1 else divided_induct(mixed, kappa, i, k)
+                    assert got == FockVector(
+                        (mu, q_power(n) * c)
+                        for n, lam in enumerate(shapes)
+                        for mu, c in divided_power(lam, kappa, i, k).items()
+                    ), (d, kappa, i, k)
+                for lam in shapes:
+                    v = FockVector.basis(lam)
+                    assert induct(v, kappa, i) == FockVector(divided_power(lam, kappa, i, 1))
+                    for k in (2, 3):
+                        assert divided_induct(v, kappa, i, k) == FockVector(
+                            divided_power(lam, kappa, i, k)
+                        ), (lam, kappa, i, k)
+                    cases += 1
+    assert cases == {2: 592, 3: 1376}[level]
+
+
+def test_canonical_basis_is_level_one_only():
+    # top ladders are a level-1 notion
+    with pytest.raises(ValueError, match="level-1 only"):
+        canonical_basis(3, (0, 1))
+    with pytest.raises(ValueError, match="level-1 only"):
+        decomposition_matrix(3, (1, 0, 0))
 
 
 def test_divided_induct_examples():
     one_box = induct(EMPTY, K0, 0)
-    assert divided_induct(one_box, K0, 1, 2) == FockVector.basis((2, 1))
+    assert divided_induct(one_box, K0, 1, 2) == FockVector.basis(((2, 1),))
     assert divided_induct(one_box, K0, 1, 1) == induct(one_box, K0, 1)
     assert divided_induct(one_box, K0, 1, 0) == one_box
 
@@ -72,23 +106,23 @@ def test_ladder_vector_leading_coefficient():
     for d in range(9):
         for mu in partitions(d):
             if is_2_restricted(mu):
-                assert ladder_vector(mu, K0).coefficient(mu) == ONE
+                assert ladder_vector(mu, K0).coefficient((mu,)) == ONE
 
 
 def test_canonical_basis_small():
-    assert canonical_basis(1) == [((1,), FockVector.basis((1,)))]
+    assert canonical_basis(1) == [(((1,),), FockVector.basis(((1,),)))]
     (mu, g), = canonical_basis(2)
-    assert mu == (1, 1)
-    assert g == FockVector({(2,): Q, (1, 1): ONE})
+    assert mu == ((1, 1),)
+    assert g == FockVector({((2,),): Q, ((1, 1),): ONE})
 
 
 def test_canonical_basis_frozen_d4():
     basis = dict(canonical_basis(4))
-    assert basis[(2, 1, 1)] == FockVector(
-        {(3, 1): q_power(2), (2, 2): Q, (2, 1, 1): ONE}
+    assert basis[((2, 1, 1),)] == FockVector(
+        {((3, 1),): q_power(2), ((2, 2),): Q, ((2, 1, 1),): ONE}
     )
-    assert basis[(1, 1, 1, 1)] == FockVector(
-        {(4,): q_power(2), (3, 1): Q, (2, 1, 1): Q, (1, 1, 1, 1): ONE}
+    assert basis[((1, 1, 1, 1),)] == FockVector(
+        {((4,),): q_power(2), ((3, 1),): Q, ((2, 1, 1),): Q, ((1, 1, 1, 1),): ONE}
     )
 
 
@@ -97,21 +131,21 @@ def test_column_vector_coefficients_at_d8():
     # pure of the combined parity; the (3,2,2,1)-coefficient in particular is
     # zero (the characteristic-2 value arises entirely through adjustment)
     basis = dict(canonical_basis(8))
-    vector = basis[(1,) * 8]
-    assert vector.coefficient((3, 2, 2, 1)) == ZERO
-    assert vector.coefficient((3, 2, 2, 1)).is_pure_parity(1)
-    assert vector.coefficient((7, 1)) == q_power(3)
+    vector = basis[((1,) * 8,)]
+    assert vector.coefficient(((3, 2, 2, 1),)) == ZERO
+    assert vector.coefficient(((3, 2, 2, 1),)).is_pure_parity(1)
+    assert vector.coefficient(((7, 1),)) == q_power(3)
     for lam, coeff in vector.items():
-        parity = degree_parity((lam,), K0)  # the column shape has parity 0
+        parity = degree_parity(lam, K0)  # the column shape has parity 0
         assert coeff.is_pure_parity(parity)
 
 
 def test_decomposition_matrix_d2():
     matrix = decomposition_matrix(2)
-    assert matrix.rows == ((2,), (1, 1))
-    assert matrix.cols == ((1, 1),)
-    assert matrix.entry((2,), (1, 1)) == Q
-    assert matrix.entry((1, 1), (1, 1)) == ONE
+    assert matrix.rows == (((2,),), ((1, 1),))
+    assert matrix.cols == (((1, 1),),)
+    assert matrix.entry(((2,),), ((1, 1),)) == Q
+    assert matrix.entry(((1, 1),), ((1, 1),)) == ONE
 
 
 def test_decomposition_matrix_invariants():
@@ -129,12 +163,12 @@ def test_decomposition_matrix_invariants():
 
 
 def test_simple_qdims_small():
-    assert simple_qdims(2) == {(1, 1): ONE}
+    assert simple_qdims(2) == {((1, 1),): ONE}
     d3 = simple_qdims(3)
-    assert d3[(1, 1, 1)] == ONE
-    assert d3[(2, 1)] == Q + q_power(-1)
+    assert d3[((1, 1, 1),)] == ONE
+    assert d3[((2, 1),)] == Q + q_power(-1)
     d4 = simple_qdims(4)
-    assert d4[(2, 1, 1)] == Q + q_power(-1)
+    assert d4[((2, 1, 1),)] == Q + q_power(-1)
 
 
 def test_reconstruction_identity():
@@ -147,7 +181,7 @@ def test_reconstruction_identity():
             total = LaurentPoly()
             for mu in matrix.cols:
                 total = total + matrix.entry(lam, mu) * simples[mu]
-            assert total == qdim_specht((lam,), K0), lam
+            assert total == qdim_specht(lam, K0), lam
 
 
 def test_entries_pure_of_combined_parity():
@@ -155,7 +189,7 @@ def test_entries_pure_of_combined_parity():
         matrix = decomposition_matrix(d)
         for lam in matrix.rows:
             for mu in matrix.cols:
-                parity = (degree_parity((lam,), K0) + degree_parity((mu,), K0)) % 2
+                parity = (degree_parity(lam, K0) + degree_parity(mu, K0)) % 2
                 assert matrix.entry(lam, mu).is_pure_parity(parity)
 
 
@@ -163,8 +197,8 @@ def test_simples_bar_symmetric_and_pure():
     for d in range(1, 8):
         for mu, poly in simple_qdims(d).items():
             assert poly.is_bar_symmetric()
-            assert poly.is_pure_parity(degree_parity((mu,), K0))
-            if degree_parity((mu,), K0) == 1:
+            assert poly.is_pure_parity(degree_parity(mu, K0))
+            if degree_parity(mu, K0) == 1:
                 assert poly.eval_at_one() % 2 == 0
 
 
@@ -239,8 +273,8 @@ def test_induct_shifts_are_the_signed_counts():
                     for node in addable_nodes((mu,), (c,), i):
                         grown = with_node_added((mu,), node)
                         count = degree_contribution(grown, (c,), node)
-                        expected[grown[0]] = q_power(count)
-                    got = induct(FockVector.basis(mu), (c,), i)
+                        expected[grown] = q_power(count)
+                    got = induct(FockVector.basis((mu,)), (c,), i)
                     assert got == FockVector(expected), (mu, c, i)
 
 

@@ -4,7 +4,15 @@ from math import factorial
 import pytest
 
 from qspecht import specht
-from qspecht.core import degree_parity, multipartitions, partitions
+from qspecht.core import (
+    addable_nodes,
+    degree_contribution,
+    degree_parity,
+    multipartitions,
+    partitions,
+    removable_nodes,
+)
+from qspecht.crystal import add_good_node
 from qspecht.fock import simple_qdims
 from qspecht.laurent import LaurentPoly, ONE, Q, ZERO, q_power
 from qspecht.specht import (
@@ -100,6 +108,11 @@ def test_level_mismatch_is_a_value_error(lam, kappa):
         qdim_specht(lam, kappa)
     with pytest.raises(ValueError, match="components but charge has"):
         qdim_truncation(lam, kappa, (0,) * sum(map(sum, lam)))
+    for kernel in (addable_nodes, removable_nodes, add_good_node):
+        with pytest.raises(ValueError, match="components but charge has"):
+            kernel(lam, kappa, 0)
+    with pytest.raises(ValueError, match="components but charge has"):
+        degree_contribution(lam, kappa, (1, 1, 1))
 
 
 def test_truncations_partition_the_graded_dimension():
