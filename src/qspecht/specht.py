@@ -143,10 +143,17 @@ class SweepReport:
 
 
 def _parity_violation(lam: Multipartition, kappa: Multicharge) -> str | None:
+    """The qdim must be pure of the shape's parity, and must count the
+    row-filled tableau at the degree read node by node from
+    :func:`core.degree_contribution`: the recursion reads its counts from
+    :func:`core.steps`, so this ties the two readings of the signature."""
     qdim = qdim_specht(lam, kappa)
     parity = degree_parity(lam, kappa)
     if not qdim.is_pure_parity(parity):
         return f"{format_multipartition(lam)}: qdim {qdim} not pure of parity {parity}"
+    deg = degree(row_filled_tableau(lam), kappa)
+    if qdim.coefficient(deg) <= 0:
+        return f"{format_multipartition(lam)}: qdim {qdim} misses row-filled degree {deg}"
     return None
 
 
@@ -167,8 +174,9 @@ def _sweep(checker, d: int, kappa: Multicharge) -> tuple[int, tuple[str, ...]]:
 
 def verify_specht_parity(d: int, kappa: Multicharge) -> SweepReport:
     """Check every shape of size d: its Specht graded dimension must be pure
-    of the shape's combinatorial parity.  The shapes share one memo, so each
-    subdiagram is evaluated once."""
+    of the shape's combinatorial parity and count the row-filled tableau at
+    its degree.  The shapes share one memo, so each subdiagram is evaluated
+    once."""
     checked, violations = _sweep(_parity_violation, d, kappa)
     return SweepReport(
         check="specht-parity",

@@ -11,6 +11,7 @@ from qspecht.core import (
     multipartitions,
     partitions,
     removable_nodes,
+    steps,
 )
 from qspecht.crystal import add_good_node
 from qspecht.fock import simple_qdims
@@ -161,6 +162,19 @@ def test_verify_specht_parity_sweep():
         assert report.ok
         assert report.checked == len(list(multipartitions(d, len(kappa))))
     assert verify_specht_parity(0, K0).ok
+
+
+def test_parity_sweep_catches_counts_that_disagree_with_degree_contribution(monkeypatch):
+    # Shifting every step by 2 keeps each qdim pure of its parity, so only
+    # the row-filled degree check can see it.
+    def shifted(lam, kappa, i):
+        grown, shrunk = steps(lam, kappa, i)
+        return grown, [(sub, count + 2) for sub, count in shrunk]
+
+    monkeypatch.setattr(specht, "steps", shifted)
+    report = verify_specht_parity(3, (0, 1))
+    assert report.violations
+    assert all("misses row-filled degree" in v for v in report.violations)
 
 
 def test_verify_row_degree_parity_sweep():
