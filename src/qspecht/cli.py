@@ -38,30 +38,29 @@ class UsageError(Exception):
     pass
 
 
-def _parse_charge(text: str):
+def _parse_charge(args):
     try:
-        return as_multicharge(parse_residues(text))
+        charge = as_multicharge(parse_residues(args.charge))
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    if getattr(args, "level", None) is not None and args.level != len(charge):
+        raise UsageError(f"--level {args.level} does not match charge length {len(charge)}")
+    return charge
 
 
-def _parse_shape(text: str, charge):
+def _parse_shape(args):
+    charge = _parse_charge(args)
     try:
-        lam = parse_multipartition(text)
+        lam = parse_multipartition(args.shape)
         check_component_count(lam, charge)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    return lam
+    return lam, charge
 
 
 def _check_nonnegative(value: int | None, flag: str) -> None:
     if value is not None and value < 0:
         raise UsageError(f"{flag} must be nonnegative, got {value}")
-
-
-def _check_level(args, charge) -> None:
-    if getattr(args, "level", None) is not None and args.level != len(charge):
-        raise UsageError(f"--level {args.level} does not match charge length {len(charge)}")
 
 
 def _emit(payload: dict | None, text_lines: list[str], fmt: str) -> None:
@@ -85,9 +84,7 @@ def _emit(payload: dict | None, text_lines: list[str], fmt: str) -> None:
 
 
 def _cmd_qdim(args) -> int:
-    charge = _parse_charge(args.charge)
-    _check_level(args, charge)
-    lam = _parse_shape(args.shape, charge)
+    lam, charge = _parse_shape(args)
     poly = qdim_specht(lam, charge)
     payload = {
         "lambda": format_multipartition(lam),
@@ -100,9 +97,7 @@ def _cmd_qdim(args) -> int:
 
 
 def _cmd_truncate(args) -> int:
-    charge = _parse_charge(args.charge)
-    _check_level(args, charge)
-    lam = _parse_shape(args.shape, charge)
+    lam, charge = _parse_shape(args)
     try:
         residues = parse_residues(args.residues)
         poly = qdim_truncation(lam, charge, residues)
@@ -119,17 +114,13 @@ def _cmd_truncate(args) -> int:
 
 
 def _cmd_tableaux(args) -> int:
-    charge = _parse_charge(args.charge)
-    _check_level(args, charge)
-    lam = _parse_shape(args.shape, charge)
+    lam, charge = _parse_shape(args)
     try:
         wanted = None if args.residues is None else parse_residues(args.residues)
-        listing = [
-            (t, deg, residue_sequence(t, charge))
-            for t, deg in standard_tableaux_with_degrees(lam, charge, wanted)
-        ]
+        found = standard_tableaux_with_degrees(lam, charge, wanted)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    listing = [(t, deg, residue_sequence(t, charge)) for t, deg in found]
     payload = {
         "lambda": format_multipartition(lam),
         "charge": list(charge),
@@ -162,8 +153,7 @@ def _report_output(report, fmt: str) -> int:
 
 
 def _cmd_verify(args) -> int:
-    charge = _parse_charge(args.charge)
-    _check_level(args, charge)
+    charge = _parse_charge(args)
     _check_nonnegative(args.d, "--d")
     if args.what == "parity":
         report = verify_specht_parity(args.d, charge)
@@ -175,8 +165,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_restricted(args) -> int:
-    charge = _parse_charge(args.charge)
-    _check_level(args, charge)
+    charge = _parse_charge(args)
     _check_nonnegative(args.d, "--d")
     found = sorted(restricted_multipartitions(args.d, charge))
     names = [format_multipartition(lam) for lam in found]
@@ -186,7 +175,7 @@ def _cmd_restricted(args) -> int:
 
 
 def _cmd_llt(args) -> int:
-    charge = _parse_charge(args.charge)
+    charge = _parse_charge(args)
     if len(charge) != 1:
         raise UsageError("the canonical-basis computation is level-1 only")
     _check_nonnegative(args.d, "--d")
@@ -249,7 +238,7 @@ def _cmd_llt(args) -> int:
 
 
 def _cmd_adjustment(args) -> int:
-    charge = _parse_charge(args.charge)
+    charge = _parse_charge(args)
     if len(charge) != 1:
         raise UsageError("the published adjustment evidence is level-1 only")
     _check_nonnegative(args.bound, "--bound")

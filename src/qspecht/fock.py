@@ -43,17 +43,16 @@ from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping
 from contextvars import ContextVar
 from dataclasses import dataclass
+from functools import cached_property
 
 from .core import (
     Multicharge,
     Multipartition,
-    Partition,
     Steps,
     format_multipartition,
     is_2_restricted,
     multipartition_size,
     multipartitions,
-    partitions,
     steps,
 )
 from .laurent import LaurentPoly, ONE, ZERO, q_factorial
@@ -61,6 +60,13 @@ from .laurent import LaurentPoly, ONE, ZERO, q_factorial
 
 class InternalConsistencyError(Exception):
     """A structural assumption failed; indicates a convention bug upstream."""
+
+
+def _key(mu: Multipartition) -> Multipartition:
+    """``mu``, which must be a tuple of partitions: a bare partition is refused."""
+    if not mu or not all(isinstance(comp, tuple) for comp in mu):
+        raise ValueError(f"{mu!r} is not a multipartition; a level-1 shape p is (p,)")
+    return mu
 
 
 class FockVector:
@@ -77,7 +83,7 @@ class FockVector:
         clean: dict[Multipartition, LaurentPoly] = {}
         for mu, coeff in items:
             if coeff:
-                acc = clean.get(mu)
+                acc = clean.get(_key(mu))
                 total = coeff if acc is None else acc + coeff
                 if total:
                     clean[mu] = total
@@ -97,7 +103,7 @@ class FockVector:
         return cls({mu: ONE})
 
     def coefficient(self, mu: Multipartition) -> LaurentPoly:
-        return self._terms.get(mu, ZERO)
+        return self._terms.get(_key(mu), ZERO)
 
     def support(self) -> tuple[Multipartition, ...]:
         return tuple(sorted(self._terms, reverse=True))
@@ -213,25 +219,26 @@ def divided_induct(v: FockVector, kappa: Multicharge, i: int, k: int) -> FockVec
     return FockVector._adopt(divided)
 
 
-def _top_ladder(mu: Partition, charge: int) -> tuple[Partition, int, int]:
-    """``(mu_minus, i, k)``: ``mu`` with its top ladder removed, the residue
-    of that ladder and its length.
+def _top_ladder(mu: Multipartition, charge: int) -> tuple[Multipartition, int, int]:
+    """``(mu_minus, i, k)``: the level-1 shape ``mu`` with its top ladder
+    removed, the residue of that ladder and its length.
 
     The top ladder is the k nodes on the largest diagonal a+b-1 of ``mu``.
     Each ends its row, since the next node of the row would lie on a larger
     diagonal, and all of them have residue i.  Removing them from a
     2-restricted partition leaves a 2-restricted one.
     """
-    top = max(a + part - 1 for a, part in enumerate(mu, start=1))
+    (lam,) = mu
+    top = max(a + part - 1 for a, part in enumerate(lam, start=1))
     minus: list[int] = []
     k = 0
-    for a, part in enumerate(mu, start=1):
+    for a, part in enumerate(lam, start=1):
         if a + part - 1 == top:
             k += 1
             part -= 1
         if part:
             minus.append(part)
-    return tuple(minus), (charge + top + 1) % 2, k
+    return (tuple(minus),), (charge + top + 1) % 2, k
 
 
 def _bar_symmetric_low_part(c: LaurentPoly) -> LaurentPoly:
@@ -250,24 +257,23 @@ def _reduce(
     coefficient 1 at ``mu``: subtract bar-symmetric multiples of the
     ``earlier`` canonical vectors of the same size until no coefficient at
     their indices has a nonpositive exponent, then check the result."""
-    steps = 0
+    rounds = 0
     while True:
         offender = None
         for nu, g in reversed(earlier):  # least dominant candidates first
-            c = v.coefficient(nu)
-            if c and c.min_exponent() <= 0:
+            c = v._terms.get(nu)
+            if c is not None and c.min_exponent() <= 0:
                 offender = g
                 break
         if offender is None:
             break
         v = v.sub_scaled(_bar_symmetric_low_part(c), offender)
-        steps += 1
-        if steps > 2 * len(earlier) + 2:
+        rounds += 1
+        if rounds > 2 * len(earlier) + 2:
             raise InternalConsistencyError(f"elimination for {mu} did not terminate")
-    if v.coefficient(mu) != ONE:
-        raise InternalConsistencyError(
-            f"leading coefficient at {mu} is {v.coefficient(mu)}, expected 1"
-        )
+    lead = v._terms.get(mu, ZERO)
+    if lead != ONE:
+        raise InternalConsistencyError(f"leading coefficient at {mu} is {lead}, expected 1")
     for nu, c in v._terms.items():
         if nu != mu and (c.min_exponent() < 1 or any(x < 0 for _, x in c.terms())):
             raise InternalConsistencyError(
@@ -296,18 +302,19 @@ def canonical_basis(
     if d < 0:
         raise ValueError("size must be nonnegative")
     sizes = [
-        [(mu, _top_ladder(mu, kappa[0])) for mu in partitions(s) if is_2_restricted(mu)]
+        [(mu, _top_ladder(mu, kappa[0])) for mu in multipartitions(s, 1) if is_2_restricted(*mu)]
         for s in range(1, d + 1)
     ]
     uses = Counter(minus for size in sizes for _, (minus, _, _) in size)
-    held = {(): FockVector.basis(((),))}  # finished vectors, by partition
-    columns = [(((),), held[()])]  # the one column of size 0
+    empty = ((),)
+    held = {empty: FockVector.basis(empty)}  # finished vectors
+    columns = [(empty, held[empty])]  # the one column of size 0
     table: MoveTable = ({}, {})
     token = _move_table.set(table)
     try:
         for size in sizes:
             # the columns of this size induct no shape smaller than low
-            low = min(sum(minus) for _, (minus, _, _) in size)
+            low = min(multipartition_size(minus) for _, (minus, _, _) in size)
             for shapes in table:
                 for mu in [mu for mu in shapes if multipartition_size(mu) < low]:
                     del shapes[mu]
@@ -321,8 +328,8 @@ def canonical_basis(
                 uses[minus] -= 1
                 if not uses[minus]:
                     del held[minus]
-                columns.append(((mu,), _reduce((mu,), v, columns)))
-            held.update((mu, v) for (mu,), v in columns if uses[mu])
+                columns.append((mu, _reduce(mu, v, columns)))
+            held.update((mu, v) for mu, v in columns if uses[mu])
     finally:
         _move_table.reset(token)
     return columns
@@ -338,7 +345,18 @@ class GradedDecompositionMatrix:
     cols: tuple[Multipartition, ...]
     entries: dict[tuple[Multipartition, Multipartition], LaurentPoly]
 
+    @cached_property
+    def _row_of(self) -> dict[Multipartition, int]:
+        return {lam: r for r, lam in enumerate(self.rows)}
+
+    @cached_property
+    def _col_of(self) -> dict[Multipartition, int]:
+        return {mu: c for c, mu in enumerate(self.cols)}
+
     def entry(self, lam: Multipartition, mu: Multipartition) -> LaurentPoly:
+        """The entry at (lam, mu); ``KeyError`` if lam is no row or mu no column."""
+        if lam not in self._row_of or mu not in self._col_of:
+            raise KeyError(f"({lam!r}, {mu!r}) is not a cell of this matrix")
         return self.entries.get((lam, mu), ZERO)
 
     def row(self, lam: Multipartition) -> list[LaurentPoly]:
@@ -347,8 +365,7 @@ class GradedDecompositionMatrix:
     def nonzero_cells(self) -> list[tuple[int, int, LaurentPoly]]:
         """(row index, column index, entry) of every nonzero entry, in
         row-major order."""
-        row_of = {lam: r for r, lam in enumerate(self.rows)}
-        col_of = {mu: c for c, mu in enumerate(self.cols)}
+        row_of, col_of = self._row_of, self._col_of
         return sorted(
             (row_of[lam], col_of[mu], entry) for (lam, mu), entry in self.entries.items() if entry
         )

@@ -143,10 +143,8 @@ class SweepReport:
 
 
 def _parity_violation(lam: Multipartition, kappa: Multicharge) -> str | None:
-    """The qdim must be pure of the shape's parity, and must count the
-    row-filled tableau at the degree read node by node from
-    :func:`core.degree_contribution`: the recursion reads its counts from
-    :func:`core.steps`, so this ties the two readings of the signature."""
+    """The qdim must be pure of the shape's parity and count the row-filled
+    tableau at its degree, which ties :func:`core.steps` to the per-node degree."""
     qdim = qdim_specht(lam, kappa)
     parity = degree_parity(lam, kappa)
     if not qdim.is_pure_parity(parity):
@@ -165,11 +163,16 @@ def _row_degree_violation(lam: Multipartition, kappa: Multicharge) -> str | None
     return None
 
 
-def _sweep(checker, d: int, kappa: Multicharge) -> tuple[int, tuple[str, ...]]:
+def _sweep(check: str, checker, d: int, kappa: Multicharge) -> SweepReport:
     shapes = list(multipartitions(d, len(kappa)))
     with _shared_memo():
         results = [checker(lam, kappa) for lam in shapes]
-    return len(shapes), tuple(r for r in results if r is not None)
+    return SweepReport(
+        check=check,
+        parameters={"d": d, "charge": list(kappa)},
+        checked=len(shapes),
+        violations=tuple(r for r in results if r is not None),
+    )
 
 
 def verify_specht_parity(d: int, kappa: Multicharge) -> SweepReport:
@@ -177,25 +180,13 @@ def verify_specht_parity(d: int, kappa: Multicharge) -> SweepReport:
     of the shape's combinatorial parity and count the row-filled tableau at
     its degree.  The shapes share one memo, so each subdiagram is evaluated
     once."""
-    checked, violations = _sweep(_parity_violation, d, kappa)
-    return SweepReport(
-        check="specht-parity",
-        parameters={"d": d, "charge": list(kappa)},
-        checked=checked,
-        violations=violations,
-    )
+    return _sweep("specht-parity", _parity_violation, d, kappa)
 
 
 def verify_row_degree_parity(d: int, kappa: Multicharge) -> SweepReport:
     """Check every shape of size d: the degree of its row-filled tableau must
     agree mod 2 with the shape's combinatorial parity."""
-    checked, violations = _sweep(_row_degree_violation, d, kappa)
-    return SweepReport(
-        check="row-degree-parity",
-        parameters={"d": d, "charge": list(kappa)},
-        checked=checked,
-        violations=violations,
-    )
+    return _sweep("row-degree-parity", _row_degree_violation, d, kappa)
 
 
 def verify_hecke_even(max_d: int, kappa: Multicharge) -> SweepReport:

@@ -134,24 +134,24 @@ def _search(
 
 
 def standard_tableaux(lam: Multipartition) -> Iterator[StandardTableau]:
-    """All standard tableaux of ``lam``, generated incrementally."""
-    kappa = (0,) * len(lam)  # residues are irrelevant without a target
-    for places, _ in _search(lam, kappa, None):
-        yield StandardTableau(lam, places)
+    """All standard tableaux of ``lam``, generated incrementally; the charge
+    only sets the degrees, which are dropped."""
+    return (t for t, _ in standard_tableaux_with_degrees(lam, (0,) * len(lam)))
 
 
 def standard_tableaux_with_degrees(
     lam: Multipartition, kappa: Multicharge, residues: tuple[int, ...] | None = None
 ) -> Iterator[tuple[StandardTableau, int]]:
     """Standard tableaux of ``lam`` with their degrees; with ``residues`` set,
-    only those with that residue sequence, found by the pruned search."""
+    only those with that residue sequence, found by the pruned search.  The
+    arguments are checked by the call, the tableaux found as they are read."""
     check_component_count(lam, kappa)
     if residues is not None and len(residues) != multipartition_size(lam):
         raise ValueError("residue sequence length does not match the shape size")
     if residues is not None and any(i not in RESIDUES for i in residues):
         raise ValueError(f"residues must be 0 or 1, got {residues!r}")
-    for places, deg in _search(lam, kappa, residues):
-        yield StandardTableau(lam, places), deg
+    found = _search(lam, kappa, residues)
+    return ((StandardTableau(lam, places), deg) for places, deg in found)
 
 
 def tableaux_with_residue_sequence(

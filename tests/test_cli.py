@@ -238,6 +238,33 @@ def test_level_mismatch_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "residues, message",
+    [
+        ("0,1,2", "residues must be 0 or 1"),
+        ("0,1", "residue sequence length does not match the shape size"),
+        ("0,x", "malformed residue sequence"),
+    ],
+)
+def test_bad_residues_for_tableaux_are_usage_errors(capsys, residues, message):
+    code = main(["tableaux", "--lambda", "2,1", "--charge", "0", "--residues", residues])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
+def test_a_value_error_while_listing_tableaux_is_not_a_usage_error(monkeypatch):
+    import qspecht.cli
+
+    def broken(*args):
+        raise ValueError("internal")
+        yield
+
+    monkeypatch.setattr(qspecht.cli, "standard_tableaux_with_degrees", broken)
+    with pytest.raises(ValueError, match="internal"):
+        main(["tableaux", "--lambda", "2,1", "--charge", "0", "--residues", "0,1,0"])
+
+
 def test_byte_identical_reruns(capsys):
     first = run(capsys, "llt", "--d", "5", "--format", "json")
     second = run(capsys, "llt", "--d", "5", "--format", "json")

@@ -41,6 +41,15 @@ def test_fock_vector_basics():
     assert FockVector({((1,),): ZERO}) == FockVector()
 
 
+def test_a_bare_partition_is_not_a_fock_key():
+    v = FockVector({((2, 1),): Q})
+    for bad in [(2, 1), (1,), ()]:
+        with pytest.raises(ValueError):
+            v.coefficient(bad)
+        with pytest.raises(ValueError):
+            FockVector.basis(bad)
+
+
 def test_induct_examples():
     assert induct(EMPTY, K0, 0) == FockVector.basis(((1,),))
     assert induct(FockVector.basis(((1,),)), K0, 1) == FockVector(
@@ -146,6 +155,19 @@ def test_decomposition_matrix_d2():
     assert matrix.cols == (((1, 1),),)
     assert matrix.entry(((2,),), ((1, 1),)) == Q
     assert matrix.entry(((1, 1),), ((1, 1),)) == ONE
+
+
+def test_entry_outside_the_index_sets_is_a_key_error():
+    matrix = decomposition_matrix(3)
+    assert matrix.entry(((2, 1),), ((2, 1),)) == ONE
+    for lam, mu in [
+        ((2, 1), (2, 1)),  # the bare partitions of the level-1 shapes
+        (((2, 1),), (2, 1)),
+        (((3, 1),), ((2, 1),)),  # a shape of another size
+        (((2, 1),), ((3,),)),  # a row that is not a column
+    ]:
+        with pytest.raises(KeyError):
+            matrix.entry(lam, mu)
 
 
 def test_decomposition_matrix_invariants():
@@ -312,8 +334,8 @@ def test_top_ladder_ends_rows_and_leaves_a_restricted_partition():
             rest = tuple(rows[a] for a in range(1, len(mu) + 1) if rows[a])
             assert is_2_restricted(rest), mu
             for c in (0, 1):
-                minus, i, k = fock._top_ladder(mu, c)
-                assert (minus, k) == (rest, len(ladder)), (mu, c)
+                minus, i, k = fock._top_ladder((mu,), c)
+                assert (minus, k) == ((rest,), len(ladder)), (mu, c)
                 assert ladder_word(mu, c)[-1] == (i, k), (mu, c)
 
 
@@ -322,10 +344,10 @@ def test_a_start_vector_not_held_is_a_consistency_error(monkeypatch):
 
     def wrong(mu, charge):
         minus, i, k = original(mu, charge)
-        return ((3,) if mu == (2, 1, 1) else minus), i, k
+        return (((3,),) if mu == ((2, 1, 1),) else minus), i, k
 
     monkeypatch.setattr(fock, "_top_ladder", wrong)
-    with pytest.raises(fock.InternalConsistencyError, match=r"column \(2, 1, 1\)"):
+    with pytest.raises(fock.InternalConsistencyError, match=r"column \(\(2, 1, 1\),\)"):
         canonical_basis(5)
 
 
