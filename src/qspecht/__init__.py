@@ -21,7 +21,7 @@ from .core import (
     removable_nodes,
     residue_of,
 )
-from .laurent import LaurentPoly, ONE, ParityElem, Q, ZERO, q_factorial, q_int, q_power
+from .laurent import LaurentPoly, ONE, ParityElem, Q, ZERO, q_power
 from .tableaux import (
     StandardTableau,
     degree,
@@ -50,7 +50,6 @@ from .fock import (
     InternalConsistencyError,
     canonical_basis,
     decomposition_matrix,
-    divided_induct,
     induct,
     simple_qdims,
 )

@@ -10,6 +10,7 @@ only the published ungraded values below are embedded.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .core import Multicharge, Partition, as_partition, degree_parity
@@ -103,6 +104,28 @@ def candidate_entries(
     return sorted(set(found), key=_poly_sort_key)
 
 
+def _column_residues(ev: AdjustmentEvidence, kappa: Multicharge) -> tuple[int, ...]:
+    """The residue sequence of the row-filled tableau of ``ev.mu``, which
+    must be a single column."""
+    if ev.mu != (1,) * sum(ev.mu):
+        raise UndeterminedEntryError(
+            f"no distinguished residue sequence: {ev.mu!r} is not a column"
+        )
+    return residue_sequence(row_filled_tableau((ev.mu,)), kappa)
+
+
+def _survivor(candidates: Iterable[LaurentPoly], truncation: LaurentPoly) -> LaurentPoly:
+    """The one candidate q^m + q^-m whose degree -m occurs in ``truncation``."""
+    allowed = {q_power(e) + q_power(-e) for e in truncation.support() if e < 0}
+    survivors = [f for f in candidates if f in allowed]
+    if len(survivors) != 1:
+        raise UndeterminedEntryError(
+            f"{len(survivors)} candidates survive the truncation filter: "
+            f"{[str(f) for f in survivors]}"
+        )
+    return survivors[0]
+
+
 def pin_via_truncation(
     ev: AdjustmentEvidence,
     kappa: Multicharge,
@@ -118,24 +141,9 @@ def pin_via_truncation(
     sequence; that sequence is computed, not hard-coded.
     """
     if residues is None:
-        d = sum(ev.mu)
-        if ev.mu != (1,) * d:
-            raise UndeterminedEntryError(
-                f"no distinguished residue sequence: {ev.mu!r} is not a column"
-            )
-        residues = residue_sequence(row_filled_tableau((ev.mu,)), kappa)
+        residues = _column_residues(ev, kappa)
     truncation = qdim_truncation((ev.lam,), kappa, residues)
-    allowed = {
-        q_power(m) + q_power(-m)
-        for m in (-e for e in truncation.support() if e < 0)
-    }
-    survivors = [f for f in candidate_entries(ev, kappa, bound) if f in allowed]
-    if len(survivors) != 1:
-        raise UndeterminedEntryError(
-            f"{len(survivors)} candidates survive the truncation filter: "
-            f"{[str(f) for f in survivors]}"
-        )
-    return survivors[0]
+    return _survivor(candidate_entries(ev, kappa, bound), truncation)
 
 
 def adjusted_entry(
@@ -182,23 +190,17 @@ def evidence_report(
     ev: AdjustmentEvidence, kappa: Multicharge, bound: int | None = None
 ) -> EvidenceReport:
     """Run the pinning pipeline for one evidence pair, never raising: an
-    undetermined entry is reported as such."""
+    undetermined entry is reported as such.  The candidates and the
+    truncation are computed once each."""
     candidates = tuple(candidate_entries(ev, kappa, bound))
-    d = sum(ev.mu)
-    if ev.mu == (1,) * d:
-        residues = residue_sequence(row_filled_tableau((ev.mu,)), kappa)
-        truncation = qdim_truncation((ev.lam,), kappa, residues)
-        degrees = tuple(e for e, x in sorted(truncation.terms()) for _ in range(x))
-        count: int | None = len(degrees)
-    else:
-        residues = None
-        degrees = ()
-        count = None
+    degrees, count, pinned = (), None, None
     try:
-        pinned = pin_via_truncation(ev, kappa, bound, residues)
+        truncation = qdim_truncation((ev.lam,), kappa, _column_residues(ev, kappa))
+        degrees = tuple(e for e, x in sorted(truncation.terms()) for _ in range(x))
+        count = len(degrees)
+        pinned = _survivor(candidates, truncation)
         note = "pinned"
     except UndeterminedEntryError as exc:
-        pinned = None
         note = f"undetermined: {exc}"
     return EvidenceReport(
         evidence=ev,

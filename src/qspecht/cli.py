@@ -17,6 +17,7 @@ from . import adjustment as adj
 from .core import (
     as_multicharge,
     check_component_count,
+    check_residues,
     degree_parity,
     format_multipartition,
     parse_multipartition,
@@ -100,9 +101,10 @@ def _cmd_truncate(args) -> int:
     lam, charge = _parse_shape(args)
     try:
         residues = parse_residues(args.residues)
-        poly = qdim_truncation(lam, charge, residues)
+        check_residues(lam, residues)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    poly = qdim_truncation(lam, charge, residues)
     payload = {
         "lambda": format_multipartition(lam),
         "charge": list(charge),

@@ -10,8 +10,12 @@ Conventions used throughout the package:
   component's top row first), so signed counts are reproducible;
 * :func:`signature` is the one node kernel: it alone decides which cells are
   addable or removable i-nodes, and the node lists, the signed node count of
-  :func:`degree_contribution` and :func:`steps` are read from it;
-* :func:`check_component_count` is the one shape/charge length check.
+  :func:`degree_contribution` and :func:`steps` are read from it.
+  :func:`steps` gives each i-node with its signed count and builds no
+  shape: its callers add or remove the nodes they need;
+* :func:`check_component_count` is the one shape/charge length check, and
+  :func:`check_residues` the one check of a residue sequence against a
+  shape.
 """
 
 from __future__ import annotations
@@ -57,6 +61,15 @@ def check_component_count(lam: Multipartition, kappa: Multicharge) -> None:
 
 def multipartition_size(lam: Multipartition) -> int:
     return sum(map(sum, lam))
+
+
+def check_residues(lam: Multipartition, residues: tuple[int, ...]) -> None:
+    """Reject a residue sequence that is not one entry per node of ``lam``,
+    each entry a residue."""
+    if len(residues) != multipartition_size(lam):
+        raise ValueError("residue sequence length does not match the shape size")
+    if any(i not in RESIDUES for i in residues):
+        raise ValueError(f"residues must be 0 or 1, got {residues!r}")
 
 
 def empty_multipartition(level: int) -> Multipartition:
@@ -159,30 +172,19 @@ def degree_contribution(lam: Multipartition, kappa: Multicharge, node: Node) -> 
     return count
 
 
-Steps = list[tuple[Multipartition, int]]
-
-
-def steps(lam: Multipartition, kappa: Multicharge, i: int) -> tuple[Steps, Steps]:
-    """``(grown, shrunk)``: each lam+A for an addable i-node A with the signed
-    count of A in lam+A, and each lam-A for a removable one with the count of
-    A in lam, lowest node first.  No row holds two signature nodes, and
+def steps(lam: Multipartition, kappa: Multicharge, i: int) -> list[tuple[Node, str, int]]:
+    """``(node, mark, count)`` for each i-node of the signature, lowest first:
+    for an addable node A the signed count of A in lam+A, for a removable
+    one the count of A in lam.  No row holds two signature nodes, and
     adding A changes only nodes of the other residue, so either count is the
     '+' minus the '-' strictly after A in the i-signature of lam.
     """
-    grown: Steps = []
-    shrunk: Steps = []
+    out = []
     count = 0
-    for (a, b, m), mark in reversed(signature(lam, kappa, i)):
-        comp = lam[m - 1]
-        if mark == ADDABLE:
-            comp = comp + (1,) if b == 1 else comp[: a - 1] + (b,) + comp[a:]
-            grown.append((lam[: m - 1] + (comp,) + lam[m:], count))
-            count += 1
-        else:
-            comp = comp[: a - 1] + (b - 1,) + comp[a:] if b > 1 else comp[: a - 1]
-            shrunk.append((lam[: m - 1] + (comp,) + lam[m:], count))
-            count -= 1
-    return grown, shrunk
+    for node, mark in reversed(signature(lam, kappa, i)):
+        out.append((node, mark, count))
+        count += 1 if mark == ADDABLE else -1
+    return out
 
 
 def partition_parity(p: Partition) -> int:

@@ -7,10 +7,14 @@ dimension, exactly):
 
 * vectors are keyed by multipartitions at every level, a level-1 shape being
   ``(mu,)``;
-* the node-adding operator contributes q^(signed node count of the added node
-  in the grown shape), so monomial exponents match tableau-degree increments;
-  every such count is read off one reversed scan of the i-signature of the
-  shape before the node is added (:func:`core.steps`), at every level
+* the divided power F_i^(k) of the i-node-adding operator (:func:`induct`)
+  takes mu to one term q^e mu+S per set S of k addable i-nodes, by the
+  closed formula of Lascoux-Leclerc-Thibon ("Hecke algebras at roots of
+  unity and crystal bases of quantum affine algebras"): e is the sum over A
+  in S of the signed count of A in mu+A, less k(k-1)/2, so no coefficient is
+  divided, and at k = 1 the exponents match tableau-degree increments.  The
+  count of A is the '+' minus the '-' strictly after A in the i-signature of
+  mu, read off one reversed scan (:func:`core.steps`), at every level
   (Brundan-Kleshchev, "Graded decomposition numbers for cyclotomic Hecke
   algebras");
 * ladders for quantum characteristic 2 are the diagonals row+column-1; each
@@ -23,15 +27,13 @@ dimension, exactly):
   (the recursive form of Lascoux-Leclerc-Thibon), then bar-symmetric
   multiples of earlier elements of the same size are subtracted until every
   off-leading coefficient has positive exponents only;
-* the moves of a shape mu for residue i, the list of (grown shape, exponent
-  shift) pairs of its addable i-nodes, depend on mu and i only.  Inside one
-  :func:`canonical_basis` call they are computed once per (mu, i) and kept
-  in a move table, one dict per residue keyed by shape, which every
-  :func:`induct` of that call reads.  The table lives in a ``ContextVar``
-  that :func:`canonical_basis` sets for its own call and resets on exit,
-  also when it raises; before each size is built, the shapes smaller than
-  the smallest start vector of that size are dropped.  A standalone
-  :func:`induct` computes its moves afresh.
+* the moves of mu under F_i^(k), its (mu+S, e) pairs, depend on mu, i and
+  k only.  Inside one :func:`canonical_basis` call they are computed once
+  and kept in a move table, one dict per residue keyed by (shape, k), which
+  every :func:`induct` of that call reads.  The table lives in a
+  ``ContextVar`` that :func:`canonical_basis` sets for its own call and
+  resets on exit, also when it raises; before each size is built, the
+  shapes smaller than the smallest start vector of that size are dropped.
 
 Any convention mismatch surfaces as :class:`InternalConsistencyError`, never
 as silently wrong numbers.
@@ -44,18 +46,20 @@ from collections.abc import Iterable, Iterator, Mapping
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 
 from .core import (
+    ADDABLE,
     Multicharge,
     Multipartition,
-    Steps,
+    as_partition,
     format_multipartition,
     is_2_restricted,
     multipartition_size,
     multipartitions,
     steps,
 )
-from .laurent import LaurentPoly, ONE, ZERO, q_factorial
+from .laurent import LaurentPoly, ONE, ZERO
 
 
 class InternalConsistencyError(Exception):
@@ -63,9 +67,12 @@ class InternalConsistencyError(Exception):
 
 
 def _key(mu: Multipartition) -> Multipartition:
-    """``mu``, which must be a tuple of partitions: a bare partition is refused."""
+    """``mu``, which must be a tuple of partitions: a bare partition, or a
+    component that is not a partition, is refused."""
     if not mu or not all(isinstance(comp, tuple) for comp in mu):
         raise ValueError(f"{mu!r} is not a multipartition; a level-1 shape p is (p,)")
+    for comp in mu:
+        as_partition(comp)
     return mu
 
 
@@ -151,31 +158,47 @@ class FockVector:
         return f"FockVector<{inner or '0'}>"
 
 
-# table[i] maps each shape to its moves of residue i, the grown half of its steps.
-MoveTable = tuple[dict[Multipartition, Steps], dict[Multipartition, Steps]]
+Moves = list[tuple[Multipartition, int]]
+# table[i] maps each (shape, k) to its moves under F_i^(k).
+MoveTable = tuple[dict[tuple[Multipartition, int], Moves], dict[tuple[Multipartition, int], Moves]]
 # Set by canonical_basis for its own call only.
 _move_table: ContextVar[MoveTable | None] = ContextVar("qspecht_fock_moves", default=None)
 
 
-def induct(v: FockVector, kappa: Multicharge, i: int) -> FockVector:
-    """Apply the q-deformed i-node-adding operator to every term.
+def _moves(mu: Multipartition, kappa: Multicharge, i: int, k: int) -> Moves:
+    """``(mu+S, exponent)`` for each set S of k addable i-nodes of ``mu``,
+    the exponent being the sum of the signed counts of the nodes of S less
+    k(k-1)/2."""
+    plus = [(node, count) for node, mark, count in steps(mu, kappa, i) if mark == ADDABLE]
+    overlap = k * (k - 1) // 2
+    out = []
+    for chosen in combinations(plus, k):
+        grown = mu
+        for (a, b, m), _ in chosen:
+            comp = grown[m - 1]
+            comp = comp + (1,) if b == 1 else comp[: a - 1] + (b,) + comp[a:]
+            grown = grown[: m - 1] + (comp,) + grown[m:]
+        out.append((grown, sum(count for _, count in chosen) - overlap))
+    return out
 
-    Adding the i-node A to mu contributes q^(signed count of A in mu+A).
-    :func:`core.steps` gives every mu+A with that count from one reversed
-    scan of the i-signature of mu, and each coefficient's exponents are
-    shifted, not multiplied.  Inside :func:`canonical_basis` the scan of
-    each (mu, i) is read from the move table.
+
+def induct(v: FockVector, kappa: Multicharge, i: int, k: int = 1) -> FockVector:
+    """Apply the divided power F_i^(k) to every term, by the closed formula
+    of the module docstring; k = 1 is the i-node-adding operator and k = 0
+    the identity.  Each coefficient's exponents are shifted, not multiplied.
+    Inside :func:`canonical_basis` the moves are read from the move table.
     """
+    if k < 0:
+        raise ValueError("the power must be nonnegative")
+    if k == 0:
+        return v
     table = _move_table.get()
+    shapes = {} if table is None else table[i]
     acc: dict[Multipartition, dict[int, int]] = {}
     for mu, c in v._terms.items():
-        if table is None:
-            moves = steps(mu, kappa, i)[0]
-        else:
-            shapes = table[i]
-            moves = shapes.get(mu)
-            if moves is None:
-                moves = shapes[mu] = steps(mu, kappa, i)[0]
+        moves = shapes.get((mu, k))
+        if moves is None:
+            moves = shapes[mu, k] = _moves(mu, kappa, i, k)
         terms = c.terms()
         for grown, count in moves:
             target = acc.get(grown)
@@ -192,31 +215,6 @@ def induct(v: FockVector, kappa: Multicharge, i: int) -> FockVector:
     return FockVector._adopt(
         {mu: LaurentPoly.from_clean(poly) for mu, poly in acc.items() if poly}
     )
-
-
-def divided_induct(v: FockVector, kappa: Multicharge, i: int, k: int) -> FockVector:
-    """k-fold node adding divided by the balanced q-factorial [k]!.
-
-    Every coefficient must divide exactly; failure means the operator
-    convention is broken somewhere.
-    """
-    if k < 0:
-        raise ValueError("the power must be nonnegative")
-    out = v
-    for _ in range(k):
-        out = induct(out, kappa, i)
-    if k < 2:
-        return out
-    divisor = q_factorial(k)
-    divided: dict[Multipartition, LaurentPoly] = {}
-    for mu, c in out._terms.items():
-        try:
-            divided[mu] = c.exact_div(divisor)
-        except ValueError as exc:
-            raise InternalConsistencyError(
-                f"coefficient {c} of {mu} is not divisible by [{k}]!"
-            ) from exc
-    return FockVector._adopt(divided)
 
 
 def _top_ladder(mu: Multipartition, charge: int) -> tuple[Multipartition, int, int]:
@@ -316,15 +314,15 @@ def canonical_basis(
             # the columns of this size induct no shape smaller than low
             low = min(multipartition_size(minus) for _, (minus, _, _) in size)
             for shapes in table:
-                for mu in [mu for mu in shapes if multipartition_size(mu) < low]:
-                    del shapes[mu]
+                for key in [key for key in shapes if multipartition_size(key[0]) < low]:
+                    del shapes[key]
             columns = []
             for mu, (minus, i, k) in size:
                 if minus not in held:
                     raise InternalConsistencyError(
                         f"the vector of {minus}, which the column {mu} starts from, is not held"
                     )
-                v = divided_induct(held[minus], kappa, i, k)
+                v = induct(held[minus], kappa, i, k)
                 uses[minus] -= 1
                 if not uses[minus]:
                     del held[minus]

@@ -2,6 +2,8 @@
 
 Values are immutable and kept in canonical form (no zero coefficients), so
 structural equality is mathematical equality and instances can be dict keys.
+The package needs the ring operations only: divided powers come from a
+closed formula, so nothing here divides.
 """
 
 from __future__ import annotations
@@ -142,34 +144,6 @@ class LaurentPoly:
     def is_bar_symmetric(self) -> bool:
         return all(self._terms.get(-e, 0) == c for e, c in self._terms.items())
 
-    def exact_div(self, divisor: "LaurentPoly") -> "LaurentPoly":
-        """Exact division; raises ValueError if the quotient is not integral."""
-        if not divisor:
-            raise ZeroDivisionError("division by the zero polynomial")
-        if not self:
-            return ZERO
-        smin, smax = self.min_exponent(), self.max_exponent()
-        dmin, dmax = divisor.min_exponent(), divisor.max_exponent()
-        num = [self.coefficient(e) for e in range(smin, smax + 1)]
-        den = [divisor.coefficient(e) for e in range(dmin, dmax + 1)]
-        qlen = len(num) - len(den) + 1
-        if qlen <= 0:
-            raise ValueError(f"{self} is not divisible by {divisor}")
-        lead = den[-1]
-        quot = [0] * qlen
-        for k in range(qlen - 1, -1, -1):
-            c = num[k + len(den) - 1]
-            if c % lead:
-                raise ValueError(f"{self} is not divisible by {divisor}")
-            f = c // lead
-            quot[k] = f
-            if f:
-                for j, dj in enumerate(den):
-                    num[k + j] -= f * dj
-        if any(num):
-            raise ValueError(f"{self} is not divisible by {divisor}")
-        return LaurentPoly({k + smin - dmin: c for k, c in enumerate(quot)})
-
     def __str__(self) -> str:
         if not self._terms:
             return "0"
@@ -200,20 +174,6 @@ Q = LaurentPoly({1: 1})
 
 def q_power(exponent: int) -> LaurentPoly:
     return LaurentPoly({exponent: 1})
-
-
-def q_int(n: int) -> LaurentPoly:
-    """Balanced q-integer: q^(n-1) + q^(n-3) + ... + q^(1-n)."""
-    if n < 0:
-        raise ValueError("q-integers are defined for nonnegative n")
-    return LaurentPoly({n - 1 - 2 * j: 1 for j in range(n)})
-
-
-def q_factorial(n: int) -> LaurentPoly:
-    out = ONE
-    for j in range(2, n + 1):
-        out = out * q_int(j)
-    return out
 
 
 @dataclass(frozen=True)

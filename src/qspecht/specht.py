@@ -7,9 +7,9 @@ the signed node count d_A(lam) to the tableau's degree, so
     qdim S(lam) = sum over removable A of q^{d_A(lam)} * qdim S(lam - A),
 
 with qdim S(empty) = 1.  This is the degree of Brundan-Kleshchev-Wang,
-"Graded Specht modules", read off one entry at a time; the recursion takes
-each lam - A with d_A(lam) from :func:`core.steps` and visits each subdiagram
-once instead of each tableau.
+"Graded Specht modules", read off one entry at a time; the recursion reads
+each removable A with d_A(lam) from :func:`core.steps`, builds lam - A, and
+visits each subdiagram once instead of each tableau.
 """
 
 from __future__ import annotations
@@ -20,13 +20,14 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 from .core import (
+    REMOVABLE,
     RESIDUES,
     Multicharge,
     Multipartition,
     check_component_count,
+    check_residues,
     degree_parity,
     format_multipartition,
-    multipartition_size,
     multipartitions,
     steps,
 )
@@ -73,8 +74,12 @@ def _branch(
     counts: Counts = {} if any(lam) else {0: 1}
     rest = None if residues is None else residues[:-1]
     for i in RESIDUES if residues is None else residues[-1:]:
-        for shrunk, shift in steps(lam, kappa, i)[1]:
-            sub = _branch(shrunk, kappa, memo, rest)
+        for (a, b, m), mark, shift in steps(lam, kappa, i):
+            if mark != REMOVABLE:
+                continue
+            comp = lam[m - 1]
+            comp = comp[: a - 1] + (b - 1,) + comp[a:] if b > 1 else comp[: a - 1]
+            sub = _branch(lam[: m - 1] + (comp,) + lam[m:], kappa, memo, rest)
             if sub:
                 for deg, count in sub.items():
                     counts[deg + shift] = counts.get(deg + shift, 0) + count
@@ -97,8 +102,7 @@ def qdim_truncation(
     """Graded dimension of the residue-idempotent truncation: q^deg(t) summed
     over the standard tableaux with the given residue sequence."""
     check_component_count(lam, kappa)
-    if len(residues) != multipartition_size(lam):
-        raise ValueError("residue sequence length does not match the shape size")
+    check_residues(lam, residues)
     return LaurentPoly(_branch(lam, kappa, {}, tuple(residues)))
 
 

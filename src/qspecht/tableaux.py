@@ -14,11 +14,11 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .core import (
-    RESIDUES,
     Multicharge,
     Multipartition,
     Node,
     check_component_count,
+    check_residues,
     degree_contribution,
     format_multipartition,
     multipartition_size,
@@ -146,10 +146,8 @@ def standard_tableaux_with_degrees(
     only those with that residue sequence, found by the pruned search.  The
     arguments are checked by the call, the tableaux found as they are read."""
     check_component_count(lam, kappa)
-    if residues is not None and len(residues) != multipartition_size(lam):
-        raise ValueError("residue sequence length does not match the shape size")
-    if residues is not None and any(i not in RESIDUES for i in residues):
-        raise ValueError(f"residues must be 0 or 1, got {residues!r}")
+    if residues is not None:
+        check_residues(lam, residues)
     found = _search(lam, kappa, residues)
     return ((StandardTableau(lam, places), deg) for places, deg in found)
 

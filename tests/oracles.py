@@ -11,8 +11,8 @@ from qspecht.core import (
     is_2_restricted,
     with_node_added,
 )
-from qspecht.fock import FockVector, divided_induct
-from qspecht.laurent import ZERO, LaurentPoly, q_power
+from qspecht.fock import FockVector, induct
+from qspecht.laurent import ONE, ZERO, LaurentPoly, q_power
 from qspecht.tableaux import degree, residue_sequence, standard_tableaux
 
 
@@ -177,6 +177,59 @@ def divided_power(lam, kappa, i, k):
     return out
 
 
+def q_int(n):
+    """Balanced q-integer: q^(n-1) + q^(n-3) + ... + q^(1-n)."""
+    if n < 0:
+        raise ValueError("q-integers are defined for nonnegative n")
+    return LaurentPoly({n - 1 - 2 * j: 1 for j in range(n)})
+
+
+def q_factorial(n):
+    out = ONE
+    for j in range(2, n + 1):
+        out = out * q_int(j)
+    return out
+
+
+def exact_div(num, divisor):
+    """``num / divisor`` by long division from the top degree; raises
+    ValueError if the quotient is not integral."""
+    if not divisor:
+        raise ZeroDivisionError("division by the zero polynomial")
+    if not num:
+        return ZERO
+    smin, smax = num.min_exponent(), num.max_exponent()
+    dmin, dmax = divisor.min_exponent(), divisor.max_exponent()
+    rest = [num.coefficient(e) for e in range(smin, smax + 1)]
+    den = [divisor.coefficient(e) for e in range(dmin, dmax + 1)]
+    qlen = len(rest) - len(den) + 1
+    if qlen <= 0:
+        raise ValueError(f"{num} is not divisible by {divisor}")
+    lead = den[-1]
+    quot = [0] * qlen
+    for k in range(qlen - 1, -1, -1):
+        c = rest[k + len(den) - 1]
+        if c % lead:
+            raise ValueError(f"{num} is not divisible by {divisor}")
+        f = c // lead
+        quot[k] = f
+        if f:
+            for j, dj in enumerate(den):
+                rest[k + j] -= f * dj
+    if any(rest):
+        raise ValueError(f"{num} is not divisible by {divisor}")
+    return LaurentPoly({k + smin - dmin: c for k, c in enumerate(quot)})
+
+
+def divided_power_by_division(v, kappa, i, k):
+    """F_i^(k) applied to the vector ``v`` by its definition: ``induct``
+    applied k times, each coefficient then divided exactly by [k]!."""
+    for _ in range(k):
+        v = induct(v, kappa, i)
+    divisor = q_factorial(k)
+    return FockVector((mu, exact_div(c, divisor)) for mu, c in v.items())
+
+
 def node_signature(lam, kappa, i):
     """The i-signature as two literal lists merged by a sort: addable nodes
     marked '+', removable ones '-', in below-order."""
@@ -217,8 +270,8 @@ def ladder_word(mu, charge=0):
 
     Nodes (a, b) with equal a+b-1 form one ladder; ladders are read in
     increasing order and each carries a constant residue.  Feeding the word to
-    ``divided_induct`` from the empty vector produces a vector with leading
-    coefficient 1 at ``mu``.
+    the divided powers of ``induct`` from the empty vector produces a vector
+    with leading coefficient 1 at ``mu``.
     """
     if not is_2_restricted(mu):
         raise ValueError(f"{mu!r} is not 2-restricted")
@@ -235,7 +288,7 @@ def ladder_vector(mu, kappa=(0,)):
     empty diagram, sharing nothing with other columns."""
     v = FockVector.basis(((),))
     for i, k in ladder_word(mu, kappa[0]):
-        v = divided_induct(v, kappa, i, k)
+        v = induct(v, kappa, i, k)
     return v
 
 

@@ -158,3 +158,21 @@ def test_evidence_counts_are_the_listed_tableaux(kappa):
         found = tableaux_with_residue_sequence((ev.lam,), kappa, residues)
         assert report.tableau_count == len(found) > 0
         assert report.degrees == tuple(sorted(degree(t, kappa) for t in found))
+
+
+def test_each_evidence_computes_its_candidates_and_truncation_once(monkeypatch):
+    # three column evidences, one truncation each; four candidate lists
+    import qspecht.adjustment as adjustment
+
+    calls = {"qdim_truncation": 0, "candidate_entries": 0}
+    for name in calls:
+        original = getattr(adjustment, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(adjustment, name, counting)
+    reports = [evidence_report(ev, K0) for ev in published_evidence()]
+    assert calls == {"qdim_truncation": 3, "candidate_entries": 4}
+    assert [r.note for r in reports][:3] == ["pinned"] * 3

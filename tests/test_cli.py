@@ -265,6 +265,17 @@ def test_a_value_error_while_listing_tableaux_is_not_a_usage_error(monkeypatch):
         main(["tableaux", "--lambda", "2,1", "--charge", "0", "--residues", "0,1,0"])
 
 
+def test_a_value_error_while_truncating_is_not_a_usage_error(monkeypatch):
+    import qspecht.cli
+
+    def broken(*args):
+        raise ValueError("internal")
+
+    monkeypatch.setattr(qspecht.cli, "qdim_truncation", broken)
+    with pytest.raises(ValueError, match="internal"):
+        main(["truncate", "--lambda", "2,1", "--charge", "0", "--residues", "0,1,0"])
+
+
 def test_byte_identical_reruns(capsys):
     first = run(capsys, "llt", "--d", "5", "--format", "json")
     second = run(capsys, "llt", "--d", "5", "--format", "json")

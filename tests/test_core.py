@@ -158,26 +158,21 @@ def test_node_kernel_matches_the_literal_definitions():
 
 
 def test_steps_match_the_literal_definitions():
-    # every grown and shrunk shape with its shift, against the oracle node
-    # lists and signed counts; both lists run upwards from the lowest node
+    # every i-node with its mark and shift, against the oracle node lists
+    # and signed counts: an addable node counted in the grown shape, a
+    # removable one in lam; the list runs upwards from the lowest node
     cases = 0
     for level, max_d in ((1, 10), (2, 6), (3, 4)):
         for kappa in itertools.product((0, 1), repeat=level):
             for d in range(max_d + 1):
                 for lam in multipartitions(d, level):
                     for i in (0, 1):
-                        grown = [
-                            (with_node_added(lam, node), node)
-                            for node in reversed(oracles.addable_nodes(lam, kappa, i))
-                        ]
-                        shrunk = [
-                            (with_node_removed(lam, node), node)
-                            for node in reversed(oracles.removable_nodes(lam, kappa, i))
-                        ]
-                        assert steps(lam, kappa, i) == (
-                            [(g, oracles.degree_contribution(g, kappa, A)) for g, A in grown],
-                            [(s, oracles.degree_contribution(lam, kappa, A)) for s, A in shrunk],
-                        ), (lam, kappa, i)
+                        expected = []
+                        for node, mark in reversed(node_signature(lam, kappa, i)):
+                            shape = with_node_added(lam, node) if mark == "+" else lam
+                            count = oracles.degree_contribution(shape, kappa, node)
+                            expected.append((node, mark, count))
+                        assert steps(lam, kappa, i) == expected, (lam, kappa, i)
                         cases += 1
     assert cases == 2 * (2 * 139 + 4 * 139 + 8 * 86)
 

@@ -20,13 +20,18 @@ from qspecht.fock import (
     FockVector,
     canonical_basis,
     decomposition_matrix,
-    divided_induct,
     induct,
     simple_qdims,
 )
 from qspecht.laurent import LaurentPoly, ONE, Q, ZERO, q_power
 from qspecht.specht import qdim_specht
-from oracles import dense_matrix_json, divided_power, ladder_vector, ladder_word
+from oracles import (
+    dense_matrix_json,
+    divided_power,
+    divided_power_by_division,
+    ladder_vector,
+    ladder_word,
+)
 
 K0 = (0,)
 EMPTY = FockVector.basis(((),))
@@ -50,6 +55,17 @@ def test_a_bare_partition_is_not_a_fock_key():
             FockVector.basis(bad)
 
 
+def test_a_component_that_is_no_partition_is_not_a_fock_key():
+    # unchecked, induct on ((2, 3),) would give ((2, 3, 1),)
+    v = FockVector({((2, 1), (1,)): Q})
+    for bad in [((2, 3),), ((1,), (0,)), ((2, 1), (1, 2)), ((1.5,),)]:
+        with pytest.raises(ValueError, match="partition parts"):
+            FockVector.basis(bad)
+        with pytest.raises(ValueError, match="partition parts"):
+            v.coefficient(bad)
+    assert v.coefficient(((2, 1), (1,))) == Q
+
+
 def test_induct_examples():
     assert induct(EMPTY, K0, 0) == FockVector.basis(((1,),))
     assert induct(FockVector.basis(((1,),)), K0, 1) == FockVector(
@@ -58,33 +74,35 @@ def test_induct_examples():
     assert induct(FockVector.basis(((2,),)), K0, 1) == FockVector.basis(((2, 1),))
 
 
-@pytest.mark.parametrize("level, max_d", [(2, 5), (3, 4)])
+@pytest.mark.parametrize("level, max_d", [(1, 12), (2, 5), (3, 4)])
 def test_induct_and_divided_powers_match_the_closed_formula(level, max_d):
-    # every shape, charge and residue: one step and the divided powers of
-    # order 2 and 3 (whose [k]! must divide exactly), on each basis vector
-    # and on a combination of all shapes of a size
+    # every shape, charge and residue: the divided powers F_i^(k) for every
+    # k up to the longest top ladder of the sizes (6 for d <= 24 at level 1),
+    # on each basis vector and on a combination of all shapes of a size,
+    # against the closed formula and against k single steps divided by [k]!
+    max_k = {1: 6, 2: 3, 3: 3}[level]
     cases = 0
     for kappa in product((0, 1), repeat=level):
         for d in range(max_d + 1):
             shapes = list(multipartitions(d, level))
             mixed = FockVector({lam: q_power(n) for n, lam in enumerate(shapes)})
             for i in (0, 1):
-                for k in (1, 2, 3):
-                    got = induct(mixed, kappa, i) if k == 1 else divided_induct(mixed, kappa, i, k)
+                for k in range(max_k + 1):
+                    got = induct(mixed, kappa, i, k)
                     assert got == FockVector(
                         (mu, q_power(n) * c)
                         for n, lam in enumerate(shapes)
                         for mu, c in divided_power(lam, kappa, i, k).items()
                     ), (d, kappa, i, k)
+                    assert got == divided_power_by_division(mixed, kappa, i, k), (d, kappa, i, k)
                 for lam in shapes:
                     v = FockVector.basis(lam)
-                    assert induct(v, kappa, i) == FockVector(divided_power(lam, kappa, i, 1))
-                    for k in (2, 3):
-                        assert divided_induct(v, kappa, i, k) == FockVector(
-                            divided_power(lam, kappa, i, k)
-                        ), (lam, kappa, i, k)
+                    for k in range(max_k + 1):
+                        got = induct(v, kappa, i, k)
+                        assert got == FockVector(divided_power(lam, kappa, i, k)), (lam, kappa, i, k)
+                        assert got == divided_power_by_division(v, kappa, i, k), (lam, kappa, i, k)
                     cases += 1
-    assert cases == {2: 592, 3: 1376}[level]
+    assert cases == {1: 1088, 2: 592, 3: 1376}[level]
 
 
 def test_canonical_basis_is_level_one_only():
@@ -95,11 +113,14 @@ def test_canonical_basis_is_level_one_only():
         decomposition_matrix(3, (1, 0, 0))
 
 
-def test_divided_induct_examples():
+def test_induct_divided_power_examples():
     one_box = induct(EMPTY, K0, 0)
-    assert divided_induct(one_box, K0, 1, 2) == FockVector.basis(((2, 1),))
-    assert divided_induct(one_box, K0, 1, 1) == induct(one_box, K0, 1)
-    assert divided_induct(one_box, K0, 1, 0) == one_box
+    assert induct(one_box, K0, 1, 2) == FockVector.basis(((2, 1),))
+    assert induct(one_box, K0, 1, 1) == induct(one_box, K0, 1)
+    assert induct(one_box, K0, 1, 0) == one_box
+    assert induct(one_box, K0, 1, 3) == FockVector()
+    with pytest.raises(ValueError, match="nonnegative"):
+        induct(one_box, K0, 1, -1)
 
 
 def test_ladder_word_examples():
@@ -306,21 +327,21 @@ def restricted_partitions(d):
 
 def test_columns_take_one_divided_power_of_their_top_ladder(monkeypatch):
     # every column of every size up to d starts from the finished vector one
-    # top ladder smaller: one divided power per column, and one induct per
-    # node of its top ladder
-    calls = {"divided_induct": 0, "induct": 0}
-    for name in calls:
-        original = getattr(fock, name)
+    # top ladder smaller: one induct per column, whose power is the length
+    # of its top ladder
+    powers = []
+    original = fock.induct
 
-        def counting(*args, _name=name, _original=original):
-            calls[_name] += 1
-            return _original(*args)
+    def counting(v, kappa, i, k=1):
+        powers.append(k)
+        return original(v, kappa, i, k)
 
-        monkeypatch.setattr(fock, name, counting)
+    monkeypatch.setattr(fock, "induct", counting)
     canonical_basis(14)
     columns = [mu for s in range(1, 15) for mu in restricted_partitions(s)]
-    assert calls["divided_induct"] == len(columns) == 109
-    assert calls["induct"] == sum(ladder_word(mu)[-1][1] for mu in columns) == 138
+    assert len(powers) == len(columns) == 109
+    assert powers == [ladder_word(mu)[-1][1] for mu in columns]
+    assert sum(powers) == 138
 
 
 def test_top_ladder_ends_rows_and_leaves_a_restricted_partition():

@@ -103,6 +103,15 @@ def test_qdim_truncation_length_check():
         qdim_truncation(((2,),), K0, (0,))
 
 
+def test_qdim_truncation_checks_every_residue():
+    # the recursion dies before it reaches the first entry, so only the
+    # entry check can refuse it
+    with pytest.raises(ValueError, match="residues must be 0 or 1"):
+        qdim_truncation(((2, 1),), K0, (2, 0, 1))
+    with pytest.raises(ValueError, match="residues must be 0 or 1"):
+        qdim_truncation(((2, 1),), K0, [0, -1, 1])
+
+
 @pytest.mark.parametrize("lam,kappa", [(((1,), (1,)), K0), (((1,),), (0, 1))])
 def test_level_mismatch_is_a_value_error(lam, kappa):
     with pytest.raises(ValueError, match="components but charge has"):
@@ -168,8 +177,7 @@ def test_parity_sweep_catches_counts_that_disagree_with_degree_contribution(monk
     # Shifting every step by 2 keeps each qdim pure of its parity, so only
     # the row-filled degree check can see it.
     def shifted(lam, kappa, i):
-        grown, shrunk = steps(lam, kappa, i)
-        return grown, [(sub, count + 2) for sub, count in shrunk]
+        return [(node, mark, count + 2) for node, mark, count in steps(lam, kappa, i)]
 
     monkeypatch.setattr(specht, "steps", shifted)
     report = verify_specht_parity(3, (0, 1))
