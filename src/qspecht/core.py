@@ -15,13 +15,19 @@ Conventions used throughout the package:
   shape: its callers add or remove the nodes they need;
 * :func:`check_component_count` is the one shape/charge length check, and
   :func:`check_residues` the one check of a residue sequence against a
-  shape.
+  shape;
+* :class:`CallMemo` is the one per-call memo: its state is keyed by all it
+  depends on, the calls inside a held block share it, a nested block shares
+  the enclosing block's, and none outlives the outermost block.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
+from contextlib import contextmanager
+from contextvars import ContextVar
+from typing import Generic, TypeVar
 
 Partition = tuple[int, ...]
 Multipartition = tuple[Partition, ...]
@@ -31,6 +37,31 @@ Node = tuple[int, int, int]
 RESIDUES = (0, 1)
 ADDABLE = "+"
 REMOVABLE = "-"
+
+State = TypeVar("State")
+
+
+class CallMemo(Generic[State]):
+    """A memo state made by ``new()`` and shared by the calls inside a
+    :meth:`held` block; outside any block, :meth:`get` makes a fresh one."""
+
+    def __init__(self, name: str, new: Callable[[], State]):
+        self._state: ContextVar[State | None] = ContextVar(name, default=None)
+        self._new = new
+
+    def get(self) -> State:
+        """The state of the enclosing block, or a fresh one outside any."""
+        state = self._state.get()
+        return self._new() if state is None else state
+
+    @contextmanager
+    def held(self) -> Iterator[State]:
+        """Share one state across the block and the blocks nested in it."""
+        token = self._state.set(state := self.get())
+        try:
+            yield state
+        finally:
+            self._state.reset(token)
 
 
 def as_partition(parts: Iterable[int]) -> Partition:
@@ -57,6 +88,13 @@ def check_component_count(lam: Multipartition, kappa: Multicharge) -> None:
     """Reject a shape whose component count differs from the charge's."""
     if len(lam) != len(kappa):
         raise ValueError(f"shape has {len(lam)} components but charge has {len(kappa)}")
+
+
+def check_shape(lam: Multipartition, kappa: Multicharge) -> None:
+    """Reject a shape that is not one partition per charge."""
+    check_component_count(lam, kappa)
+    for comp in lam:
+        as_partition(comp)
 
 
 def multipartition_size(lam: Multipartition) -> int:
@@ -210,11 +248,11 @@ def degree_parity(lam: Multipartition, kappa: Multicharge) -> int:
     components j < m, the number of nodes in component j whose residue equals
     the charge of component m.
     """
-    check_component_count(lam, kappa)
+    check_shape(lam, kappa)
     total = sum(partition_parity(comp) for comp in lam)
     for j in range(len(lam)):
         for m in range(j + 1, len(lam)):
-            total += residue_node_count(lam[j], kappa[j], kappa[m])
+            total += residue_node_count(lam[j], kappa[j], kappa[m] % 2)
     return total % 2
 
 

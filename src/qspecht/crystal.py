@@ -14,19 +14,16 @@ The cancellation is associative, and what survives of any stretch of the
 signature has the form +^A -^B.  So each component is summarised, once per
 residue, by its A, its B and its lowest surviving '+', and the good node of a
 multipartition comes from one pass over its components' summaries.  The
-summaries are memoized by (charge, component) for the length of one
-:func:`restricted_multipartitions` call.
+summaries are memoized by (charge mod 2, component) in ``summary_memo``, a
+:class:`core.CallMemo` that :func:`restricted_multipartitions` holds.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-from contextlib import contextmanager
-from contextvars import ContextVar
-
 from .core import (
     ADDABLE,
     RESIDUES,
+    CallMemo,
     Multicharge,
     Multipartition,
     Partition,
@@ -39,24 +36,9 @@ from .core import (
 # (A, B, row, column) for one residue: the component's surviving word is
 # +^A -^B, and (row, column) is its lowest surviving '+' when A > 0.
 Summary = tuple[int, int, int, int]
-# memo[k] maps each component of charge k (mod 2) to its summaries for
-# residues 0 and 1; memo[2] interns equal pairs, so each is stored once.
-Memo = tuple[dict, dict, dict]
-_memo: ContextVar[Memo | None] = ContextVar("qspecht_crystal_summaries", default=None)
-
-
-def _new_memo() -> Memo:
-    return {}, {}, {}
-
-
-@contextmanager
-def _shared_summaries() -> Iterator[None]:
-    """Let the add_good_node calls inside the block share one memo."""
-    token = _memo.set(_new_memo())
-    try:
-        yield
-    finally:
-        _memo.reset(token)
+# state[k] maps each component of charge k (mod 2) to its summaries for
+# residues 0 and 1; state[2] interns equal pairs, so each is stored once.
+summary_memo: CallMemo[tuple] = CallMemo("qspecht_crystal_summaries", lambda: ({}, {}, {}))
 
 
 def _summary(comp: Partition, k: int, i: int) -> Summary:
@@ -79,7 +61,7 @@ def add_good_node(
     if i not in RESIDUES:
         raise ValueError(f"residues must be 0 or 1, got {i!r}")
     check_component_count(lam, kappa)
-    memo = _memo.get() or _new_memo()
+    memo = summary_memo.get()
     pending = 0
     good = None
     for m, comp in enumerate(lam, start=1):
@@ -107,7 +89,7 @@ def restricted_multipartitions(d: int, kappa: Multicharge) -> set[Multipartition
     if not kappa:
         raise ValueError("a multicharge needs at least one component")
     layer: set[Multipartition] = {empty_multipartition(len(kappa))}
-    with _shared_summaries():
+    with summary_memo.held():
         for _ in range(d):
             grown = set()
             for lam in layer:

@@ -27,13 +27,11 @@ dimension, exactly):
   (the recursive form of Lascoux-Leclerc-Thibon), then bar-symmetric
   multiples of earlier elements of the same size are subtracted until every
   off-leading coefficient has positive exponents only;
-* the moves of mu under F_i^(k), its (mu+S, e) pairs, depend on mu, i and
-  k only.  Inside one :func:`canonical_basis` call they are computed once
-  and kept in a move table, one dict per residue keyed by (shape, k), which
-  every :func:`induct` of that call reads.  The table lives in a
-  ``ContextVar`` that :func:`canonical_basis` sets for its own call and
-  resets on exit, also when it raises; before each size is built, the
-  shapes smaller than the smallest start vector of that size are dropped.
+* the moves of mu under F_i^(k), its (mu+S, e) pairs, depend on mu, the
+  charge, i and k only.  They are memoized by (charge, i) and then
+  (shape, k) in ``move_memo``, a :class:`core.CallMemo` that
+  :func:`canonical_basis` holds; before each size is built, the shapes
+  smaller than the smallest start vector of that size are dropped.
 
 Any convention mismatch surfaces as :class:`InternalConsistencyError`, never
 as silently wrong numbers.
@@ -43,13 +41,13 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping
-from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
 from .core import (
     ADDABLE,
+    CallMemo,
     Multicharge,
     Multipartition,
     as_partition,
@@ -159,10 +157,8 @@ class FockVector:
 
 
 Moves = list[tuple[Multipartition, int]]
-# table[i] maps each (shape, k) to its moves under F_i^(k).
-MoveTable = tuple[dict[tuple[Multipartition, int], Moves], dict[tuple[Multipartition, int], Moves]]
-# Set by canonical_basis for its own call only.
-_move_table: ContextVar[MoveTable | None] = ContextVar("qspecht_fock_moves", default=None)
+# state[kappa, i] maps each (shape, k) to its moves under F_i^(k).
+move_memo: CallMemo[dict[tuple[Multicharge, int], dict]] = CallMemo("qspecht_fock_moves", dict)
 
 
 def _moves(mu: Multipartition, kappa: Multicharge, i: int, k: int) -> Moves:
@@ -186,14 +182,13 @@ def induct(v: FockVector, kappa: Multicharge, i: int, k: int = 1) -> FockVector:
     """Apply the divided power F_i^(k) to every term, by the closed formula
     of the module docstring; k = 1 is the i-node-adding operator and k = 0
     the identity.  Each coefficient's exponents are shifted, not multiplied.
-    Inside :func:`canonical_basis` the moves are read from the move table.
+    The moves are read from ``move_memo``.
     """
     if k < 0:
         raise ValueError("the power must be nonnegative")
     if k == 0:
         return v
-    table = _move_table.get()
-    shapes = {} if table is None else table[i]
+    shapes = move_memo.get().setdefault((tuple(kappa), i), {})
     acc: dict[Multipartition, dict[int, int]] = {}
     for mu, c in v._terms.items():
         moves = shapes.get((mu, k))
@@ -292,8 +287,7 @@ def canonical_basis(
     The columns of every size up to d are built in turn.  Column mu starts
     from F_i^(k) applied to the finished vector of mu with its top ladder
     removed, which is held only until the last column that starts from it.
-    The moves of each shape are computed once for the call and kept in the
-    move table described in the module docstring.
+    The moves of each shape are computed once for the call, in ``move_memo``.
     """
     if len(kappa) != 1:
         raise ValueError("the canonical-basis computation is level-1 only")
@@ -307,13 +301,11 @@ def canonical_basis(
     empty = ((),)
     held = {empty: FockVector.basis(empty)}  # finished vectors
     columns = [(empty, held[empty])]  # the one column of size 0
-    table: MoveTable = ({}, {})
-    token = _move_table.set(table)
-    try:
+    with move_memo.held() as table:
         for size in sizes:
             # the columns of this size induct no shape smaller than low
             low = min(multipartition_size(minus) for _, (minus, _, _) in size)
-            for shapes in table:
+            for shapes in table.values():
                 for key in [key for key in shapes if multipartition_size(key[0]) < low]:
                     del shapes[key]
             columns = []
@@ -328,8 +320,6 @@ def canonical_basis(
                     del held[minus]
                 columns.append((mu, _reduce(mu, v, columns)))
             held.update((mu, v) for mu, v in columns if uses[mu])
-    finally:
-        _move_table.reset(token)
     return columns
 
 
@@ -394,11 +384,11 @@ def simple_qdims(
     """Graded dimensions of the simple modules in characteristic 0, solved by
     back-substitution through the unitriangular decomposition system.  The
     Specht graded dimensions of the columns share one memo."""
-    from .specht import _shared_memo, qdim_specht
+    from .specht import qdim_memo, qdim_specht
 
     if matrix is None:
         matrix = decomposition_matrix(d, kappa)
-    with _shared_memo():
+    with qdim_memo.held():
         spechts = {mu: qdim_specht(mu, kappa) for mu in matrix.cols}
     simples: dict[Multipartition, LaurentPoly] = {}
     for mu in reversed(matrix.cols):  # ascending dominance

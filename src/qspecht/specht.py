@@ -10,22 +10,23 @@ with qdim S(empty) = 1.  This is the degree of Brundan-Kleshchev-Wang,
 "Graded Specht modules", read off one entry at a time; the recursion reads
 each removable A with d_A(lam) from :func:`core.steps`, builds lam - A, and
 visits each subdiagram once instead of each tableau.
+
+The counts are memoized by (charge, subdiagram) in ``qdim_memo``, a
+:class:`core.CallMemo` that the sweeps and :func:`fock.simple_qdims` hold.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 from .core import (
     REMOVABLE,
     RESIDUES,
+    CallMemo,
     Multicharge,
     Multipartition,
-    check_component_count,
     check_residues,
+    check_shape,
     degree_parity,
     format_multipartition,
     multipartitions,
@@ -34,27 +35,9 @@ from .core import (
 from .laurent import LaurentPoly
 from .tableaux import degree, row_filled_tableau
 
-# Degree counts {degree: number of tableaux}, one memo per multicharge, shared
-# by the qdim_specht calls inside a `_shared_memo()` block and dropped when
-# the block exits.
+# Degree counts {degree: number of tableaux}; state[kappa] maps shapes to them.
 Counts = dict[int, int]
-_memos: ContextVar[dict[Multicharge, dict[Multipartition, Counts]] | None] = ContextVar(
-    "qspecht_qdim_memos", default=None
-)
-
-
-@contextmanager
-def _shared_memo() -> Iterator[None]:
-    """Let the qdim_specht calls inside the block share one memo per
-    multicharge; a nested block reuses the outer one."""
-    if _memos.get() is not None:
-        yield
-        return
-    token = _memos.set({})
-    try:
-        yield
-    finally:
-        _memos.reset(token)
+qdim_memo: CallMemo[dict[Multicharge, dict]] = CallMemo("qspecht_qdim_memo", dict)
 
 
 def _branch(
@@ -90,10 +73,8 @@ def _branch(
 def qdim_specht(lam: Multipartition, kappa: Multicharge) -> LaurentPoly:
     """Graded dimension of the Specht module: the degree-generating function
     q^deg(t) summed over all standard tableaux of the shape."""
-    check_component_count(lam, kappa)
-    memos = _memos.get()
-    memo = {} if memos is None else memos.setdefault(kappa, {})
-    return LaurentPoly(_branch(lam, kappa, memo))
+    check_shape(lam, kappa)
+    return LaurentPoly(_branch(lam, kappa, qdim_memo.get().setdefault(tuple(kappa), {})))
 
 
 def qdim_truncation(
@@ -101,7 +82,7 @@ def qdim_truncation(
 ) -> LaurentPoly:
     """Graded dimension of the residue-idempotent truncation: q^deg(t) summed
     over the standard tableaux with the given residue sequence."""
-    check_component_count(lam, kappa)
+    check_shape(lam, kappa)
     check_residues(lam, residues)
     return LaurentPoly(_branch(lam, kappa, {}, tuple(residues)))
 
@@ -114,7 +95,7 @@ def qdim_hecke(d: int, kappa: Multicharge) -> LaurentPoly:
     shapes share one memo.
     """
     total: LaurentPoly = LaurentPoly()
-    with _shared_memo():
+    with qdim_memo.held():
         for lam in multipartitions(d, len(kappa)):
             s = qdim_specht(lam, kappa)
             total = total + s * s
@@ -169,7 +150,7 @@ def _row_degree_violation(lam: Multipartition, kappa: Multicharge) -> str | None
 
 def _sweep(check: str, checker, d: int, kappa: Multicharge) -> SweepReport:
     shapes = list(multipartitions(d, len(kappa)))
-    with _shared_memo():
+    with qdim_memo.held():
         results = [checker(lam, kappa) for lam in shapes]
     return SweepReport(
         check=check,

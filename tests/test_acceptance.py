@@ -18,8 +18,8 @@ from qspecht.crystal import restricted_multipartitions
 from qspecht.fock import decomposition_matrix, simple_qdims
 from qspecht.laurent import LaurentPoly, ONE, Q, q_power
 from qspecht.specht import (
-    _shared_memo,
     qdim_hecke,
+    qdim_memo,
     qdim_specht,
     qdim_truncation,
     verify_specht_parity,
@@ -52,7 +52,7 @@ def test_criterion_1_specht_parity_sweep():
     sweeps += [(kappa, 12) for kappa in LEVEL_TWO_CHARGES]
     sweeps += [(kappa, 8) for kappa in product((0, 1), repeat=3)]
     violations = []
-    with _shared_memo():  # one memo per charge across all sizes
+    with qdim_memo.held():  # one memo per charge across all sizes
         for kappa, max_d in sweeps:
             for d in range(max_d + 1):
                 violations += verify_specht_parity(d, kappa).violations

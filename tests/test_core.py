@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qspecht.core import (
+    CallMemo,
     addable_nodes,
     as_multicharge,
     as_partition,
@@ -203,6 +204,35 @@ def test_parity_examples():
     assert degree_parity(((1,) * 8,), (0,)) == 0
     assert degree_parity(((3, 2, 2, 1),), (0,)) == 1
     assert degree_parity(((2,), (1,)), (0, 1)) == 0
+
+
+def test_call_memo_is_shared_by_nested_blocks_and_fresh_outside_them():
+    memo = CallMemo("test_memo", dict)
+    assert memo.get() is not memo.get()
+    with memo.held() as state:
+        assert memo.get() is state
+        with memo.held() as inner:
+            assert inner is state
+            inner["x"] = 1
+        assert memo.get() is state
+    assert memo.get() == {}
+
+
+def test_call_memo_state_is_dropped_after_a_return_and_after_a_raise():
+    memo = CallMemo("test_memo", dict)
+
+    def filled():
+        with memo.held() as state:
+            state["x"] = 1
+            return state
+
+    assert filled() is not filled()
+    assert memo.get() == {}
+    with pytest.raises(RuntimeError):
+        with memo.held() as state:
+            state["x"] = 1
+            raise RuntimeError("stop")
+    assert memo.get() == {}
 
 
 def test_parity_level_mismatch():

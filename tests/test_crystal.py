@@ -63,10 +63,10 @@ def test_add_good_node_matches_the_stack_reduction(level, top):
             for lam in multipartitions(d, level):
                 for i in (0, 1):
                     cases.append((lam, i, oracles.add_good_node(lam, kappa, i)))
-        with crystal._shared_summaries():
+        with crystal.summary_memo.held():
             for lam, i, grown in cases:
                 assert add_good_node(lam, kappa, i) == grown, (lam, kappa, i)
-        assert crystal._memo.get() is None
+        assert crystal.summary_memo.get() is not crystal.summary_memo.get()
         for lam, i, grown in cases:
             assert add_good_node(lam, kappa, i) == grown, (lam, kappa, i)
 
@@ -80,17 +80,19 @@ def test_charges_count_modulo_two():
 
 
 def test_closure_memo_lives_for_one_call(monkeypatch):
+    # outside a held block every get() is a fresh state
+    memo = crystal.summary_memo
     assert restricted_multipartitions(6, (0, 1))
-    assert crystal._memo.get() is None
+    assert memo.get() is not memo.get()
 
     def failing(lam, kappa, i):
-        assert crystal._memo.get() is not None
+        assert memo.get() is memo.get()
         raise RuntimeError("stop")
 
     monkeypatch.setattr(crystal, "add_good_node", failing)
     with pytest.raises(RuntimeError):
         restricted_multipartitions(3, (0, 1))
-    assert crystal._memo.get() is None
+    assert memo.get() is not memo.get()
 
 
 def test_restricted_examples():

@@ -72,6 +72,7 @@ def test_induct_examples():
         {((2,),): Q, ((1, 1),): ONE}
     )
     assert induct(FockVector.basis(((2,),)), K0, 1) == FockVector.basis(((2, 1),))
+    assert induct(FockVector.basis(((2,),)), [0], 1) == FockVector.basis(((2, 1),))
 
 
 @pytest.mark.parametrize("level, max_d", [(1, 12), (2, 5), (3, 4)])
@@ -387,20 +388,31 @@ def test_nonzero_cells_are_the_nonzero_entries_in_row_major_order():
 
 
 def test_move_table_lives_for_one_canonical_basis_call(monkeypatch):
-    assert fock._move_table.get() is None
+    # outside a held block every get() is a fresh state
+    memo = fock.move_memo
+    assert memo.get() is not memo.get()
     canonical_basis(6)
-    assert fock._move_table.get() is None
+    assert memo.get() is not memo.get()
     seen = []
 
     def failing(mu, v, earlier):
-        seen.append(fock._move_table.get())
+        seen.append(memo.get() is memo.get())
         raise fock.InternalConsistencyError("provoked")
 
     monkeypatch.setattr(fock, "_reduce", failing)
     with pytest.raises(fock.InternalConsistencyError, match="provoked"):
         canonical_basis(6)
-    assert seen and seen[0] is not None
-    assert fock._move_table.get() is None
+    assert seen and seen[0]
+    assert memo.get() is not memo.get()
+
+
+def test_canonical_bases_sharing_one_move_table_match_frozen_digests():
+    # the moves of one charge must not serve the other
+    with fock.move_memo.held():
+        for d in (10, 14):
+            for c in (0, 1):
+                blob = json.dumps(decomposition_matrix(d, (c,)).to_json(), sort_keys=True)
+                assert hashlib.sha256(blob.encode()).hexdigest() == FROZEN_MATRIX_SHA256[d, c]
 
 
 def test_induct_from_the_move_table_is_the_standalone_induct(monkeypatch):
@@ -412,7 +424,7 @@ def test_induct_from_the_move_table_is_the_standalone_induct(monkeypatch):
 
         def reducing(mu, v, earlier, _c=c):
             g = original(mu, v, earlier)
-            assert fock._move_table.get() is not None
+            assert fock.move_memo.get() is fock.move_memo.get()
             inside.extend((g, i, induct(g, (_c,), i)) for i in (0, 1))
             return g
 

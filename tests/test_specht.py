@@ -1,10 +1,18 @@
+import contextlib
+import importlib
+import io
+import pkgutil
+import sys
 from itertools import product
 from math import factorial
 
 import pytest
 
+import qspecht
 from qspecht import specht
+from qspecht.cli import main
 from qspecht.core import (
+    CallMemo,
     addable_nodes,
     degree_contribution,
     degree_parity,
@@ -33,6 +41,7 @@ def test_qdim_specht_examples():
     assert qdim_specht(((2,),), K0) == Q
     assert qdim_specht(((1, 1),), K0) == ONE
     assert qdim_specht(((),), K0) == ONE
+    assert qdim_specht(((2,),), [0]) == Q
 
 
 def test_qdim_specht_frozen_values():
@@ -53,7 +62,7 @@ def test_graded_dimensions_match_tableau_sums(level, max_d):
     charge; truncations too, on every residue sequence that occurs, for
     shapes of size at most 7 at levels 1 and 2.  The charges interleave in
     one shared memo, which must keep them apart."""
-    with specht._shared_memo():
+    with specht.qdim_memo.held():
         for d in range(max_d + 1):
             for lam in multipartitions(d, level):
                 for kappa in product((0, 1), repeat=level):
@@ -77,18 +86,69 @@ def test_tableau_oracle_is_the_literal_sum():
                     assert tableau_truncations(lam, kappa) == literal, (lam, kappa)
 
 
+def module_states():
+    """Each qspecht module's top-level names with their values and reprs, so
+    that a container changed in place shows too."""
+    for info in pkgutil.iter_modules(qspecht.__path__, "qspecht."):
+        if info.name != "qspecht.__main__":
+            importlib.import_module(info.name)
+    return {
+        module: {name: (value, repr(value)) for name, value in vars(sys.modules[module]).items()}
+        for module in sorted(sys.modules)
+        if module.split(".")[0] == "qspecht"
+    }
+
+
 def test_no_memo_outlives_a_call():
     assert not hasattr(qdim_specht, "cache_info")
-    module_state = {
-        name: value for name, value in vars(specht).items() if not name.startswith("__")
-    }
+    before = module_states()
     assert verify_specht_parity(6, (0, 1)).ok
     assert verify_hecke_even(4, (0, 1)).ok
     assert simple_qdims(6)
-    assert specht._memos.get() is None
-    after = {name: value for name, value in vars(specht).items() if not name.startswith("__")}
-    assert after == module_state
-    assert not any(isinstance(v, (dict, list, set)) for v in after.values())
+    for argv in (
+        ["verify", "parity", "--d", "8"],
+        ["verify", "parity", "--d", "6", "--charge", "0,1"],
+        ["verify", "hecke", "--d", "5"],
+        ["verify", "hecke", "--d", "4", "--charge", "0,1"],
+        ["llt", "--d", "8", "--charge", "1"],
+        ["restricted", "--d", "10"],
+        ["restricted", "--d", "8", "--charge", "1,0"],
+    ):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0, argv
+    assert module_states() == before
+    memos = [value for state in before.values() for value, _ in state.values()
+             if isinstance(value, CallMemo)]
+    assert len(memos) == 3
+    # outside a held block every get() is a fresh state
+    assert all(memo.get() is not memo.get() for memo in memos)
+    specht_values = [v for name, v in vars(specht).items() if not name.startswith("__")]
+    assert not any(isinstance(v, (dict, list, set)) for v in specht_values)
+
+
+def test_a_component_that_is_no_partition_is_a_value_error():
+    with pytest.raises(ValueError, match="weakly decreasing"):
+        qdim_specht(((2, 3),), K0)
+    with pytest.raises(ValueError, match="positive"):
+        qdim_specht(((0,),), K0)
+    with pytest.raises(ValueError, match="weakly decreasing"):
+        qdim_truncation(((1, 3),), K0, (0, 1, 0, 1))
+    with pytest.raises(ValueError, match="weakly decreasing"):
+        degree_parity(((1,), (1, 2)), (0, 1))
+
+
+@pytest.mark.parametrize("level, d", [(2, 5), (3, 4)])
+def test_charges_shifted_by_two_give_the_reduced_charges_results(level, d):
+    for kappa in product((0, 1), repeat=level):
+        reduced = verify_specht_parity(d, kappa)
+        assert reduced.ok, reduced.violations
+        for shift in product((-2, 2), repeat=level):
+            shifted = tuple(k + s for k, s in zip(kappa, shift))
+            for lam in multipartitions(d, level):
+                assert degree_parity(lam, shifted) == degree_parity(lam, kappa), (lam, shifted)
+            for sweep in (verify_specht_parity, verify_row_degree_parity):
+                got, expected = sweep(d, shifted), sweep(d, kappa)
+                assert (got.checked, got.violations) == (expected.checked, expected.violations)
 
 
 def test_qdim_truncation_examples():

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -27,3 +28,36 @@ def test_every_module_imports_only_the_standard_library():
     loaded = set(json.loads(proc.stdout))
     assert "qspecht" in loaded
     assert loaded - {"qspecht"} <= set(sys.stdlib_module_names), loaded
+
+
+def test_only_core_holds_context_variables_and_no_module_reads_anothers_private_names():
+    # every per-call memo is a core.CallMemo, and modules meet through public names
+    found = []
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "qspecht").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        siblings = set()  # names bound by imports from the package
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported = [(a.name, a.asname or a.name) for a in node.names]
+                ours = [bound for name, bound in imported if name.startswith("qspecht")]
+            elif isinstance(node, ast.ImportFrom):
+                imported = [(node.module, None)]
+                ours = []
+                if node.level or (node.module or "").startswith("qspecht"):
+                    found += [(path.name, a.name) for a in node.names if a.name.startswith("_")]
+                    ours = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            if path.name != "core.py":
+                found += [(path.name, name) for name, _ in imported if name == "contextvars"]
+            siblings.update(ours)
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in siblings
+                and node.attr.startswith("_")
+                and not node.attr.startswith("__")
+            ):
+                found.append((path.name, f"{node.value.id}.{node.attr}"))
+    assert not found
