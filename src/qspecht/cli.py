@@ -4,6 +4,10 @@ Every subcommand supports ``--format json`` for machine-readable output with
 a stable schema; identical invocations produce byte-identical output.  Exit
 status is 0 only when no violations or errors occurred (an undetermined
 adjustment entry is reported, not treated as an error).
+
+Only the standard library, ``core`` and ``crystal`` are imported here; every
+other handler imports its modules when it runs, so a command loads only what
+it runs.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ import json
 import os
 import sys
 
-from . import adjustment as adj
 from .core import (
     as_multicharge,
     check_component_count,
@@ -24,15 +27,6 @@ from .core import (
     parse_residues,
 )
 from .crystal import restricted_multipartitions
-from .fock import decomposition_matrix, simple_qdims
-from .specht import (
-    qdim_specht,
-    qdim_truncation,
-    verify_hecke_even,
-    verify_row_degree_parity,
-    verify_specht_parity,
-)
-from .tableaux import residue_sequence, standard_tableaux_with_degrees
 
 
 class UsageError(Exception):
@@ -65,7 +59,7 @@ def _check_nonnegative(value: int | None, flag: str) -> None:
 
 
 def _emit(payload: dict | None, text_lines: list[str], fmt: str) -> None:
-    """Print the payload as JSON, or else the text lines.
+    """Print the payload as JSON, or else the text lines in one write.
 
     A reader that closes the pipe early (``| head``) ends the output, not the
     command: stdout is pointed at the null device, so nothing more is
@@ -74,9 +68,8 @@ def _emit(payload: dict | None, text_lines: list[str], fmt: str) -> None:
     try:
         if fmt == "json":
             print(json.dumps(payload, indent=2, sort_keys=True))
-        else:
-            for line in text_lines:
-                print(line)
+        elif text_lines:
+            sys.stdout.write("\n".join(text_lines) + "\n")
         sys.stdout.flush()
     except BrokenPipeError:
         devnull = os.open(os.devnull, os.O_WRONLY)
@@ -85,6 +78,8 @@ def _emit(payload: dict | None, text_lines: list[str], fmt: str) -> None:
 
 
 def _cmd_qdim(args) -> int:
+    from .specht import qdim_specht
+
     lam, charge = _parse_shape(args)
     poly = qdim_specht(lam, charge)
     payload = {
@@ -98,6 +93,8 @@ def _cmd_qdim(args) -> int:
 
 
 def _cmd_truncate(args) -> int:
+    from .specht import qdim_truncation
+
     lam, charge = _parse_shape(args)
     try:
         residues = parse_residues(args.residues)
@@ -116,6 +113,8 @@ def _cmd_truncate(args) -> int:
 
 
 def _cmd_tableaux(args) -> int:
+    from .tableaux import residue_sequence, standard_tableaux_with_degrees
+
     lam, charge = _parse_shape(args)
     try:
         wanted = None if args.residues is None else parse_residues(args.residues)
@@ -155,6 +154,8 @@ def _report_output(report, fmt: str) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .specht import verify_hecke_even, verify_row_degree_parity, verify_specht_parity
+
     charge = _parse_charge(args)
     _check_nonnegative(args.d, "--d")
     if args.what == "parity":
@@ -177,6 +178,8 @@ def _cmd_restricted(args) -> int:
 
 
 def _cmd_llt(args) -> int:
+    from .fock import decomposition_matrix, simple_qdims
+
     charge = _parse_charge(args)
     if len(charge) != 1:
         raise UsageError("the canonical-basis computation is level-1 only")
@@ -240,6 +243,8 @@ def _cmd_llt(args) -> int:
 
 
 def _cmd_adjustment(args) -> int:
+    from . import adjustment as adj
+
     charge = _parse_charge(args)
     if len(charge) != 1:
         raise UsageError("the published adjustment evidence is level-1 only")

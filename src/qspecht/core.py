@@ -317,7 +317,7 @@ def multipartitions(d: int, level: int) -> Iterator[Multipartition]:
 
 def format_multipartition(lam: Multipartition) -> str:
     """Textual form: parts comma-separated, components '|'-separated, '-' if empty."""
-    return "|".join(",".join(str(p) for p in comp) if comp else "-" for comp in lam)
+    return "|".join(",".join(map(str, comp)) if comp else "-" for comp in lam)
 
 
 def parse_multipartition(text: str) -> Multipartition:

@@ -30,28 +30,30 @@ from .core import (
     check_component_count,
     empty_multipartition,
     signature,
-    with_node_added,
 )
 
-# (A, B, row, column) for one residue: the component's surviving word is
-# +^A -^B, and (row, column) is its lowest surviving '+' when A > 0.
-Summary = tuple[int, int, int, int]
+# (A, B, grown) for one residue: the component's surviving word is +^A -^B,
+# and grown is the component with its lowest surviving '+' added, or None
+# when A = 0.
+Summary = tuple[int, int, Partition | None]
 # state[k] maps each component of charge k (mod 2) to its summaries for
-# residues 0 and 1; state[2] interns equal pairs, so each is stored once.
-summary_memo: CallMemo[tuple] = CallMemo("qspecht_crystal_summaries", lambda: ({}, {}, {}))
+# residues 0 and 1.
+summary_memo: CallMemo[tuple] = CallMemo("qspecht_crystal_summaries", lambda: ({}, {}))
 
 
 def _summary(comp: Partition, k: int, i: int) -> Summary:
     """Reduce the i-signature of one component of charge k."""
-    A = B = row = column = 0
+    A = B = 0
+    grown = None
     for (a, b, _), mark in signature((comp,), (k,), i):
         if mark != ADDABLE:
             B += 1
         elif B:
             B -= 1
         else:
-            A, row, column = A + 1, a, b
-    return A, B, row, column
+            # an addable node (a, b) ends row a, or opens row len(comp) + 1
+            A, grown = A + 1, comp[: a - 1] + (b,) + comp[a:]
+    return A, B, grown
 
 
 def add_good_node(
@@ -64,21 +66,20 @@ def add_good_node(
     memo = summary_memo.get()
     pending = 0
     good = None
-    for m, comp in enumerate(lam, start=1):
-        k = kappa[m - 1] % 2
+    for m, comp in enumerate(lam):
+        k = kappa[m] % 2
         pair = memo[k].get(comp)
         if pair is None:
-            pair = tuple(_summary(comp, k, r) for r in RESIDUES)
-            pair = memo[k][comp] = memo[2].setdefault(pair, pair)
-        A, B, row, column = pair[i]
+            pair = memo[k][comp] = tuple(_summary(comp, k, r) for r in RESIDUES)
+        A, B, grown = pair[i]
         if A > pending:
-            good = (row, column, m)
+            good, at = grown, m
             pending = B
         else:
             pending += B - A
     if good is None:
         return None
-    return with_node_added(lam, good)
+    return lam[:at] + (good,) + lam[at + 1 :]
 
 
 def restricted_multipartitions(d: int, kappa: Multicharge) -> set[Multipartition]:

@@ -208,6 +208,52 @@ def test_degree_paths_match_frozen_digests(capsys, command):
     assert hashlib.sha256(out.encode()).hexdigest() == FROZEN_DEGREE_PATH_SHA256[command]
 
 
+# sha256 of the stdout of `restricted --d d --charge c --format f`, recorded from
+# the implementation that summarised each component by its lowest surviving
+# addable node and printed one line at a time
+FROZEN_RESTRICTED_SHA256 = {
+    ("20", "0", "text"): "ab6744d57c031d31a4eddb716fef9c8905637c1b6045798caaba453b0e9e81dd",
+    ("20", "0", "json"): "b8623361b635bff913b750e5c875c1125acb397fbd2ca0743f03ead83a8549e3",
+    ("24", "0,1", "text"): "1d277814564a51f5435eb87fdeec40d51fb53694745ac1f998ce11f48992e4d1",
+    ("24", "0,1", "json"): "c192ea85caf9d4b23f0673f3270954a0c3879d56a3f20c5c6b24e887e1c0b5c9",
+    ("24", "1,0", "text"): "1d277814564a51f5435eb87fdeec40d51fb53694745ac1f998ce11f48992e4d1",
+    ("24", "1,0", "json"): "56d5f1fdfce6955b77a957af9918ac0d7dbc7709de9bcc6768902740247e06fa",
+    ("16", "0,0,1", "text"): "560be07ce2e6243ee9be1d42a145404438a74bc38f3fd5b47ac6f90e551aa20a",
+    ("16", "0,0,1", "json"): "39f215a774355b7e27cca29efa318d78a71096f67da52506c281713d0180965b",
+    ("16", "0,1,0", "text"): "7802ab2ac26c6c8574fcc3f4ce69c92c95b1027f38e7a551162a8849fcf2bf7c",
+    ("16", "0,1,0", "json"): "7f63468754dbb31e7bfc25dc96a76088fa8a700049de87e42d476cfc043be468",
+    ("16", "1,0,0", "text"): "7adcd30d6a0c9f492053ecab5330c1b99db71c9dabe18706c17885e8a7401395",
+    ("16", "1,0,0", "json"): "d2b28ad570564f0ed9aa161a38afb6ef1a6df3c387d98aa10d5067679989b4a0",
+}
+
+
+@pytest.mark.parametrize("d,charge,fmt", sorted(FROZEN_RESTRICTED_SHA256))
+def test_restricted_output_matches_frozen_digest(capsys, d, charge, fmt):
+    code, out = run(capsys, "restricted", "--d", d, "--charge", charge, "--format", fmt)
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == FROZEN_RESTRICTED_SHA256[d, charge, fmt]
+
+
+class CountingWriter(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+def test_a_text_output_is_one_write(monkeypatch):
+    out = CountingWriter()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["restricted", "--d", "10", "--charge", "0,1"]) == 0
+    assert out.writes == 1
+    lines = out.getvalue().splitlines()
+    assert lines[0] == f"count: {len(lines) - 1}"
+
+
 def test_adjustment_text(capsys):
     code, out = run(capsys, "adjustment")
     assert code == 0
@@ -254,24 +300,24 @@ def test_bad_residues_for_tableaux_are_usage_errors(capsys, residues, message):
 
 
 def test_a_value_error_while_listing_tableaux_is_not_a_usage_error(monkeypatch):
-    import qspecht.cli
+    import qspecht.tableaux
 
     def broken(*args):
         raise ValueError("internal")
         yield
 
-    monkeypatch.setattr(qspecht.cli, "standard_tableaux_with_degrees", broken)
+    monkeypatch.setattr(qspecht.tableaux, "standard_tableaux_with_degrees", broken)
     with pytest.raises(ValueError, match="internal"):
         main(["tableaux", "--lambda", "2,1", "--charge", "0", "--residues", "0,1,0"])
 
 
 def test_a_value_error_while_truncating_is_not_a_usage_error(monkeypatch):
-    import qspecht.cli
+    import qspecht.specht
 
     def broken(*args):
         raise ValueError("internal")
 
-    monkeypatch.setattr(qspecht.cli, "qdim_truncation", broken)
+    monkeypatch.setattr(qspecht.specht, "qdim_truncation", broken)
     with pytest.raises(ValueError, match="internal"):
         main(["truncate", "--lambda", "2,1", "--charge", "0", "--residues", "0,1,0"])
 

@@ -107,6 +107,16 @@ def test_restricted_matches_level_one_characterisation():
         assert generated == filtered, d
 
 
+@pytest.mark.parametrize("level,top", [(2, 10), (3, 7)])
+def test_restricted_is_the_closure_under_the_oracle(level, top):
+    for kappa in itertools.product((0, 1), repeat=level):
+        layer = {((),) * level}
+        for d in range(top + 1):
+            assert restricted_multipartitions(d, kappa) == layer, (kappa, d)
+            grown = (oracles.add_good_node(lam, kappa, i) for lam in layer for i in (0, 1))
+            layer = {lam for lam in grown if lam is not None}
+
+
 def test_restricted_subset_of_all_multipartitions():
     for kappa in [(0, 1), (1, 0), (1, 1)]:
         for d in range(6):

@@ -18,16 +18,72 @@ print(json.dumps(sorted({name.partition(".")[0] for name in set(sys.modules) - b
 """
 
 
-def test_every_module_imports_only_the_standard_library():
+# Runs one CLI command with its output discarded, and prints the qspecht
+# modules that were loaded.
+FOOTPRINT = """
+import contextlib, io, json, sys
+from qspecht.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(sys.argv[1:]) == 0
+print(json.dumps(sorted(name for name in sys.modules if name.split(".")[0] == "qspecht")))
+"""
+
+# Binds the package's exports by a star import in a fresh process.
+STAR = """
+import json
+import qspecht
+names = {}
+exec("from qspecht import *", names)
+print(json.dumps([sorted(qspecht.__all__), sorted(set(names) - {"__builtins__"})]))
+"""
+
+# The names `qspecht` exported when its __init__ imported every module.
+EXPORTS = [
+    "AdjustmentEvidence", "FockVector", "GradedDecompositionMatrix", "InternalConsistencyError",
+    "LaurentPoly", "Multicharge", "Multipartition", "Node", "ONE", "ParityElem", "Partition",
+    "Q", "StandardTableau", "SweepReport", "UndeterminedEntryError", "ZERO", "add_good_node",
+    "addable_nodes", "adjusted_entry", "as_multicharge", "as_partition", "candidate_entries",
+    "canonical_basis", "decomposition_matrix", "degree", "degree_contribution", "degree_parity",
+    "evidence_report", "format_multipartition", "induct", "is_2_restricted",
+    "multipartition_size", "multipartitions", "parse_multipartition", "parse_residues",
+    "partition_parity", "partitions", "pin_via_truncation", "published_evidence", "q_power",
+    "qdim_hecke", "qdim_specht", "qdim_truncation", "removable_nodes", "residue_of",
+    "residue_sequence", "restricted_multipartitions", "row_filled_tableau", "simple_qdims",
+    "standard_tableaux", "standard_tableaux_with_degrees", "tableaux_with_residue_sequence",
+    "verify_hecke_even", "verify_row_degree_parity", "verify_specht_parity",
+]
+
+
+def probe(code: str, *args: str):
+    """Run ``code`` in a fresh interpreter that imports qspecht from this
+    checkout, and return the JSON it prints."""
     paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    loaded = set(json.loads(proc.stdout))
+    return json.loads(proc.stdout)
+
+
+def test_every_module_imports_only_the_standard_library():
+    loaded = set(probe(PROBE))
     assert "qspecht" in loaded
     assert loaded - {"qspecht"} <= set(sys.stdlib_module_names), loaded
+
+
+def test_each_command_loads_only_the_modules_it_runs():
+    loaded = probe(FOOTPRINT, "restricted", "--d", "6", "--charge", "0,1")
+    assert loaded == ["qspecht", "qspecht.cli", "qspecht.core", "qspecht.crystal"]
+    loaded = probe(FOOTPRINT, "qdim", "--lambda", "2,1|1", "--charge", "0,1")
+    assert "qspecht.specht" in loaded
+    assert "qspecht.fock" not in loaded and "qspecht.adjustment" not in loaded
+
+
+def test_the_package_exports_its_names_on_first_access():
+    exported, bound = probe(STAR)
+    assert exported == EXPORTS
+    assert bound == EXPORTS
 
 
 def test_only_core_holds_context_variables_and_no_module_reads_anothers_private_names():
