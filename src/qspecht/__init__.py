@@ -13,7 +13,6 @@ _EXPORTS = {
         "Multipartition",
         "Node",
         "Partition",
-        "addable_nodes",
         "as_multicharge",
         "as_partition",
         "degree_contribution",
@@ -24,10 +23,7 @@ _EXPORTS = {
         "multipartitions",
         "parse_multipartition",
         "parse_residues",
-        "partition_parity",
         "partitions",
-        "removable_nodes",
-        "residue_of",
     ),
     "laurent": ("LaurentPoly", "ONE", "ParityElem", "Q", "ZERO", "q_power"),
     "tableaux": (

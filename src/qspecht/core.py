@@ -6,13 +6,14 @@ Conventions used throughout the package:
 * nodes are 1-based triples ``(row, column, component)``;
 * a node is *below* another if its component is larger, or the components
   agree and its row is larger;
-* addable/removable node lists are returned in below-order (first
-  component's top row first), so signed counts are reproducible;
+* the i-signature lists the addable and removable i-nodes in below-order
+  (first component's top row first), so signed counts are reproducible;
 * :func:`signature` is the one node kernel: it alone decides which cells are
-  addable or removable i-nodes, and the node lists, the signed node count of
-  :func:`degree_contribution` and :func:`steps` are read from it.
-  :func:`steps` gives each i-node with its signed count and builds no
-  shape: its callers add or remove the nodes they need;
+  addable or removable i-nodes.  :func:`steps` gives each i-node with its
+  signed count and builds no shape: its callers (the tableau search, the
+  branching recursion and the Fock space) add or remove the nodes they
+  need.  :func:`degree_contribution` reads the count of one node of the
+  diagram, for the literal prefix recursion of a tableau's degree;
 * :func:`check_component_count` is the one shape/charge length check, and
   :func:`check_residues` the one check of a residue sequence against a
   shape;
@@ -122,24 +123,6 @@ def young_nodes(lam: Multipartition) -> Iterator[Node]:
                 yield (a, b, m)
 
 
-def contains_node(lam: Multipartition, node: Node) -> bool:
-    a, b, m = node
-    if not (1 <= m <= len(lam) and a >= 1 and b >= 1):
-        return False
-    comp = lam[m - 1]
-    return a <= len(comp) and b <= comp[a - 1]
-
-
-def residue_of(node: Node, kappa: Multicharge) -> int:
-    """Residue of a node: charge of its component plus (column - row), mod 2."""
-    a, b, m = node
-    if a < 1 or b < 1:
-        raise ValueError(f"node coordinates must be positive, got {node!r}")
-    if not 1 <= m <= len(kappa):
-        raise ValueError(f"component {m} out of range for multicharge {kappa!r}")
-    return (kappa[m - 1] + b - a) % 2
-
-
 def signature(lam: Multipartition, kappa: Multicharge, i: int) -> list[tuple[Node, str]]:
     """Addable ('+') and removable ('-') i-nodes of the diagram, in below-order,
     from one pass over the rows.
@@ -167,16 +150,6 @@ def signature(lam: Multipartition, kappa: Multicharge, i: int) -> list[tuple[Nod
     return out
 
 
-def addable_nodes(lam: Multipartition, kappa: Multicharge, i: int) -> list[Node]:
-    """Addable i-nodes of the diagram, in below-order."""
-    return [node for node, mark in signature(lam, kappa, i) if mark == ADDABLE]
-
-
-def removable_nodes(lam: Multipartition, kappa: Multicharge, i: int) -> list[Node]:
-    """Removable i-nodes of the diagram, in below-order."""
-    return [node for node, mark in signature(lam, kappa, i) if mark == REMOVABLE]
-
-
 def with_node_added(lam: Multipartition, node: Node) -> Multipartition:
     a, b, m = node
     if not 1 <= m <= len(lam):
@@ -200,11 +173,13 @@ def degree_contribution(lam: Multipartition, kappa: Multicharge, node: Node) -> 
     node's residue over its component and the components after it.
     """
     check_component_count(lam, kappa)
-    if not contains_node(lam, node):
+    a0, b0, m0 = node
+    comp = lam[m0 - 1] if 1 <= m0 <= len(lam) else ()
+    if not (1 <= a0 <= len(comp) and 1 <= b0 <= comp[a0 - 1]):
         raise ValueError(f"node {node!r} is not in the diagram of {lam!r}")
-    a0, _, m0 = node
+    i = (kappa[m0 - 1] + b0 - a0) % 2
     count = 0
-    for (a, _, m), mark in signature(lam[m0 - 1 :], kappa[m0 - 1 :], residue_of(node, kappa)):
+    for (a, _, m), mark in signature(lam[m0 - 1 :], kappa[m0 - 1 :], i):
         if m > 1 or a > a0:
             count += 1 if mark == ADDABLE else -1
     return count
@@ -309,6 +284,8 @@ def multipartitions(d: int, level: int) -> Iterator[Multipartition]:
     """
     if level < 1:
         raise ValueError("level must be at least 1")
+    if d < 0:
+        raise ValueError("size must be nonnegative")
     for sizes in _compositions(d, level):
         pools = [list(partitions(k)) for k in sizes]
         for combo in itertools.product(*pools):

@@ -177,6 +177,8 @@ def verify_row_degree_parity(d: int, kappa: Multicharge) -> SweepReport:
 def verify_hecke_even(max_d: int, kappa: Multicharge) -> SweepReport:
     """Check for every rank up to max_d that the algebra's graded dimension
     has no odd-degree part and evaluates at 1 to l^d * d!."""
+    if max_d < 0:
+        raise ValueError("size must be nonnegative")
     violations = []
     level = len(kappa)
     factorial = 1

@@ -2,10 +2,12 @@
 
 A standard tableau is stored through its placement sequence: entry r sits in
 ``places[r-1]``, and every prefix of the placements is the Young diagram of a
-multipartition.  Enumeration grows tableaux one entry at a time, trying the
-addable corners in below-order, which fixes a stable deterministic order; the
-degree is accumulated during the search from the signed node counts of the
-grown shapes.
+multipartition.  Enumeration grows tableaux one entry at a time from the
+addable nodes that :func:`core.steps` lists, tried in below-order, which fixes
+a stable deterministic order, and adds each node's signed count in the grown
+shape to the degree.  :func:`degree` keeps the literal prefix recursion
+through :func:`core.degree_contribution`, the definition the search is
+tested against.
 """
 
 from __future__ import annotations
@@ -14,14 +16,19 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .core import (
+    ADDABLE,
+    RESIDUES,
     Multicharge,
     Multipartition,
     Node,
     check_component_count,
     check_residues,
+    check_shape,
     degree_contribution,
+    empty_multipartition,
     format_multipartition,
     multipartition_size,
+    steps,
     with_node_added,
     young_nodes,
 )
@@ -91,46 +98,38 @@ def _search(
 ) -> Iterator[tuple[tuple[Node, ...], int]]:
     """Yield (places, degree) for the standard tableaux of ``lam``.
 
-    With ``target`` set, branches whose next residue disagrees are pruned, so
-    only tableaux with that residue sequence are produced.  This is for
-    listings; graded dimensions come from the branching recursion in
+    Each tableau grows from the addable nodes of :func:`core.steps` that lie
+    inside ``lam``, and each adds its signed count in the grown shape to the
+    degree; the nodes of each subdiagram are read once per search.  With
+    ``target`` set, only nodes of the next residue are tried, so only
+    tableaux with that residue sequence are produced.  This is for listings;
+    graded dimensions come from the branching recursion in
     :mod:`qspecht.specht`, which never visits individual tableaux.
     """
     d = multipartition_size(lam)
-    rows: list[list[int]] = [[] for _ in lam]
     places: list[Node] = []
+    moves_of: dict[Multipartition, list[tuple[int, int, int, int]]] = {}
 
-    def grow(r: int, degree: int) -> Iterator[tuple[tuple[Node, ...], int]]:
-        if r > d:
+    def grow(mu: Multipartition, degree: int) -> Iterator[tuple[tuple[Node, ...], int]]:
+        r = len(places)
+        if r == d:
             yield tuple(places), degree
             return
-        for m, comp in enumerate(lam, start=1):
-            cur = rows[m - 1]
-            for a in range(1, len(cur) + 2):
-                if a > len(comp):
-                    break
-                have = cur[a - 1] if a <= len(cur) else 0
-                if have >= comp[a - 1]:
-                    continue
-                if a > 1 and cur[a - 2] <= have:
-                    continue
-                b = have + 1
-                if target is not None and (kappa[m - 1] + b - a) % 2 != target[r - 1]:
-                    continue
-                node = (a, b, m)
-                if a == len(cur) + 1:
-                    cur.append(1)
-                else:
-                    cur[a - 1] += 1
-                places.append(node)
-                yield from grow(r + 1, degree + degree_contribution(rows, kappa, node))
-                places.pop()
-                if a == len(cur) and cur[a - 1] == 1:
-                    cur.pop()
-                else:
-                    cur[a - 1] -= 1
+        moves = moves_of.get(mu)
+        if moves is None:
+            moves = moves_of[mu] = sorted(
+                (m, a, b, count)
+                for i in (RESIDUES if target is None else target[r : r + 1])
+                for (a, b, m), mark, count in steps(mu, kappa, i)
+                if mark == ADDABLE and a <= len(lam[m - 1]) and b <= lam[m - 1][a - 1]
+            )
+        for m, a, b, count in moves:
+            comp = mu[m - 1][: a - 1] + (b,) + mu[m - 1][a:]
+            places.append((a, b, m))
+            yield from grow(mu[: m - 1] + (comp,) + mu[m:], degree + count)
+            places.pop()
 
-    yield from grow(1, 0)
+    yield from grow(empty_multipartition(len(lam)), 0)
 
 
 def standard_tableaux(lam: Multipartition) -> Iterator[StandardTableau]:
@@ -145,7 +144,7 @@ def standard_tableaux_with_degrees(
     """Standard tableaux of ``lam`` with their degrees; with ``residues`` set,
     only those with that residue sequence, found by the pruned search.  The
     arguments are checked by the call, the tableaux found as they are read."""
-    check_component_count(lam, kappa)
+    check_shape(lam, kappa)
     if residues is not None:
         check_residues(lam, residues)
     found = _search(lam, kappa, residues)

@@ -6,7 +6,6 @@ from itertools import combinations
 from math import factorial
 
 from qspecht.core import (
-    contains_node,
     empty_multipartition,
     is_2_restricted,
     with_node_added,
@@ -100,6 +99,22 @@ def brute_residue_node_count(p, charge, i):
     )
 
 
+def contains_node(lam, node):
+    """True if ``node`` is a cell of the diagram of ``lam``."""
+    a, b, m = node
+    return 1 <= m <= len(lam) and (a, b) in _cells(lam[m - 1])
+
+
+def residue_of(node, kappa):
+    """Residue of a node: charge of its component plus (column - row), mod 2."""
+    a, b, m = node
+    if a < 1 or b < 1:
+        raise ValueError(f"node coordinates must be positive, got {node!r}")
+    if not 1 <= m <= len(kappa):
+        raise ValueError(f"component {m} out of range for multicharge {kappa!r}")
+    return (kappa[m - 1] + b - a) % 2
+
+
 def is_below(node, other):
     """True if ``node`` lies strictly below ``other``: in a later component,
     or in the same component and a later row."""
@@ -148,8 +163,7 @@ def removable_nodes(lam, kappa, i):
 def degree_contribution(lam, kappa, node):
     """The signed node count d_A(lam) of a node A of the diagram: addable
     nodes of A's residue strictly below A, minus removable ones."""
-    a, b, m = node
-    i = (kappa[m - 1] + b - a) % 2
+    i = residue_of(node, kappa)
     return sum(is_below(other, node) for other in addable_nodes(lam, kappa, i)) - sum(
         is_below(other, node) for other in removable_nodes(lam, kappa, i)
     )

@@ -164,9 +164,10 @@ def test_llt_16_output_matches_frozen_digest(capsys, charge, fmt):
     assert digest == FROZEN_LLT_16_SHA256[charge, fmt]
 
 
-# sha256 of the stdout of the commands that call `core.degree_contribution`
-# directly (tableau listings and the row-tableau degree sweep), recorded from
-# the implementation that scanned addable and removable cells separately
+# sha256 of the stdout of the tableau listings and the row-tableau degree
+# sweep, recorded from the implementation that scanned addable and removable
+# cells separately.  The listings add the signed counts of `core.steps` and
+# the sweep reads `core.degree_contribution`, so the digests pin both readings.
 FROZEN_DEGREE_PATH_SHA256 = {
     "tableaux --lambda 3,2,1 --charge 0 --format json":
         "1377574f265d219c7b15b747897fd379154e739ebdf7712fd6f156c53bda5b34",

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from qspecht.core import (
     CallMemo,
-    addable_nodes,
     as_multicharge,
     as_partition,
     degree_contribution,
@@ -19,9 +18,7 @@ from qspecht.core import (
     parse_residues,
     partition_parity,
     partitions,
-    removable_nodes,
     residue_node_count,
-    residue_of,
     signature,
     steps,
     with_node_added,
@@ -37,8 +34,14 @@ from oracles import (
     is_below,
     node_signature,
     partition_count,
+    residue_of,
     with_node_removed,
 )
+
+
+def marked(lam, kappa, i, mark):
+    """The i-nodes that the signature marks with ``mark``, in below-order."""
+    return [node for node, m in signature(lam, kappa, i) if m == mark]
 
 
 @st.composite
@@ -87,15 +90,15 @@ def test_is_below():
 
 
 def test_addable_nodes_examples():
-    assert addable_nodes(((1, 1),), (0,), 1) == [(1, 2, 1)]
-    assert addable_nodes(((), ()), (0, 1), 0) == [(1, 1, 1)]
-    assert addable_nodes(((2,),), (0,), 1) == [(2, 1, 1)]
+    assert marked(((1, 1),), (0,), 1, "+") == [(1, 2, 1)]
+    assert marked(((), ()), (0, 1), 0, "+") == [(1, 1, 1)]
+    assert marked(((2,),), (0,), 1, "+") == [(2, 1, 1)]
 
 
 def test_removable_nodes_examples():
-    assert removable_nodes(((2,),), (0,), 1) == [(1, 2, 1)]
-    assert removable_nodes(((),), (0,), 0) == []
-    assert removable_nodes(((1,), (1,)), (0, 1), 1) == [(1, 1, 2)]
+    assert marked(((2,),), (0,), 1, "-") == [(1, 2, 1)]
+    assert marked(((),), (0,), 0, "-") == []
+    assert marked(((1,), (1,)), (0, 1), 1, "-") == [(1, 1, 2)]
 
 
 def test_addable_removable_are_valid_moves():
@@ -103,12 +106,12 @@ def test_addable_removable_are_valid_moves():
     for lam in multipartitions(5, 2):
         diagram = set(young_nodes(lam))
         for i in (0, 1):
-            for node in addable_nodes(lam, kappa, i):
+            for node in marked(lam, kappa, i, "+"):
                 assert node not in diagram
                 grown = with_node_added(lam, node)
                 assert multipartition_size(grown) == 6
                 assert with_node_removed(grown, node) == lam
-            for node in removable_nodes(lam, kappa, i):
+            for node in marked(lam, kappa, i, "-"):
                 assert node in diagram
                 shrunk = with_node_removed(lam, node)
                 assert with_node_added(shrunk, node) == lam
@@ -118,7 +121,7 @@ def test_node_lists_in_below_order():
     lam = ((3, 1), (2, 2, 1))
     kappa = (0, 1)
     for i in (0, 1):
-        for nodes in (addable_nodes(lam, kappa, i), removable_nodes(lam, kappa, i)):
+        for nodes in (marked(lam, kappa, i, "+"), marked(lam, kappa, i, "-")):
             for earlier, later in zip(nodes, nodes[1:]):
                 assert is_below(later, earlier)
 
@@ -135,21 +138,15 @@ def test_signature_matches_two_lists_and_sort():
 
 
 def test_node_kernel_matches_the_literal_definitions():
-    # every node of every shape, both residues and every charge: the node
-    # lists and signed counts read from `signature` against the oracles,
-    # which try every cell of a box around each component
+    # every node of every shape and every charge: the signed counts read
+    # from `signature` against the oracle, which tries every cell of a box
+    # around each component (the marks themselves are checked by
+    # `test_signature_matches_two_lists_and_sort`)
     nodes = 0
     for level, max_d in ((1, 10), (2, 8), (3, 6)):
         for kappa in itertools.product((0, 1), repeat=level):
             for d in range(max_d + 1):
                 for lam in multipartitions(d, level):
-                    for i in (0, 1):
-                        assert addable_nodes(lam, kappa, i) == oracles.addable_nodes(
-                            lam, kappa, i
-                        ), (lam, kappa, i)
-                        assert removable_nodes(lam, kappa, i) == oracles.removable_nodes(
-                            lam, kappa, i
-                        ), (lam, kappa, i)
                     for node in young_nodes(lam):
                         nodes += 1
                         assert degree_contribution(
@@ -182,7 +179,7 @@ def test_steps_match_the_literal_definitions():
 def test_residue_outside_zero_one_is_rejected(i):
     # the row pass reads "end cell not of residue i" as an addable node, so
     # an unchecked residue would list every row's addable node
-    for kernel in (signature, addable_nodes, removable_nodes, steps, add_good_node):
+    for kernel in (signature, steps, add_good_node):
         with pytest.raises(ValueError):
             kernel(((1,),), (0,), i)
     with pytest.raises(ValueError):

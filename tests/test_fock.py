@@ -8,7 +8,6 @@ import pytest
 from qspecht import fock
 
 from qspecht.core import (
-    addable_nodes,
     degree_contribution,
     degree_parity,
     is_2_restricted,
@@ -26,6 +25,7 @@ from qspecht.fock import (
 from qspecht.laurent import LaurentPoly, ONE, Q, ZERO, q_power
 from qspecht.specht import qdim_specht
 from oracles import (
+    addable_nodes,
     dense_matrix_json,
     divided_power,
     divided_power_by_division,

@@ -13,12 +13,11 @@ from qspecht import specht
 from qspecht.cli import main
 from qspecht.core import (
     CallMemo,
-    addable_nodes,
     degree_contribution,
     degree_parity,
     multipartitions,
     partitions,
-    removable_nodes,
+    signature,
     steps,
 )
 from qspecht.crystal import add_good_node
@@ -32,6 +31,7 @@ from qspecht.specht import (
     verify_row_degree_parity,
     verify_specht_parity,
 )
+from qspecht.tableaux import standard_tableaux_with_degrees
 from oracles import hook_length_count, literal_truncations, tableau_truncations
 
 K0 = (0,)
@@ -135,6 +135,11 @@ def test_a_component_that_is_no_partition_is_a_value_error():
         qdim_truncation(((1, 3),), K0, (0, 1, 0, 1))
     with pytest.raises(ValueError, match="weakly decreasing"):
         degree_parity(((1,), (1, 2)), (0, 1))
+    # unchecked, the search lists no tableau of (2, 3) and one empty tableau of (0)
+    with pytest.raises(ValueError, match="weakly decreasing"):
+        standard_tableaux_with_degrees(((2, 3),), K0)
+    with pytest.raises(ValueError, match="positive"):
+        standard_tableaux_with_degrees(((0,),), K0)
 
 
 @pytest.mark.parametrize("level, d", [(2, 5), (3, 4)])
@@ -178,7 +183,7 @@ def test_level_mismatch_is_a_value_error(lam, kappa):
         qdim_specht(lam, kappa)
     with pytest.raises(ValueError, match="components but charge has"):
         qdim_truncation(lam, kappa, (0,) * sum(map(sum, lam)))
-    for kernel in (addable_nodes, removable_nodes, add_good_node):
+    for kernel in (signature, steps, add_good_node):
         with pytest.raises(ValueError, match="components but charge has"):
             kernel(lam, kappa, 0)
     with pytest.raises(ValueError, match="components but charge has"):
@@ -248,6 +253,15 @@ def test_parity_sweep_catches_counts_that_disagree_with_degree_contribution(monk
 def test_verify_row_degree_parity_sweep():
     for kappa, d in [(K0, 10), ((1, 1), 5)]:
         assert verify_row_degree_parity(d, kappa).ok
+
+
+@pytest.mark.parametrize("kappa", [K0, (0, 1)])
+def test_every_sweep_rejects_a_negative_size(kappa):
+    # unchecked, the empty rank loop of the hecke sweep and the empty level-2
+    # shape list would read as an ok report with nothing checked
+    for sweep in (verify_specht_parity, verify_row_degree_parity, verify_hecke_even):
+        with pytest.raises(ValueError, match="size must be nonnegative"):
+            sweep(-1, kappa)
 
 
 def test_verify_hecke_even_report():

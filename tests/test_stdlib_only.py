@@ -37,21 +37,24 @@ exec("from qspecht import *", names)
 print(json.dumps([sorted(qspecht.__all__), sorted(set(names) - {"__builtins__"})]))
 """
 
-# The names `qspecht` exported when its __init__ imported every module.
+# The names `qspecht` exported when its __init__ imported every module, less
+# the node-list helpers that moved to the test oracles and `partition_parity`.
 EXPORTS = [
-    "AdjustmentEvidence", "FockVector", "GradedDecompositionMatrix", "InternalConsistencyError",
-    "LaurentPoly", "Multicharge", "Multipartition", "Node", "ONE", "ParityElem", "Partition",
-    "Q", "StandardTableau", "SweepReport", "UndeterminedEntryError", "ZERO", "add_good_node",
-    "addable_nodes", "adjusted_entry", "as_multicharge", "as_partition", "candidate_entries",
-    "canonical_basis", "decomposition_matrix", "degree", "degree_contribution", "degree_parity",
-    "evidence_report", "format_multipartition", "induct", "is_2_restricted",
-    "multipartition_size", "multipartitions", "parse_multipartition", "parse_residues",
-    "partition_parity", "partitions", "pin_via_truncation", "published_evidence", "q_power",
-    "qdim_hecke", "qdim_specht", "qdim_truncation", "removable_nodes", "residue_of",
+    "AdjustmentEvidence", "FockVector", "GradedDecompositionMatrix",
+    "InternalConsistencyError", "LaurentPoly", "Multicharge", "Multipartition", "Node", "ONE",
+    "ParityElem", "Partition", "Q", "StandardTableau", "SweepReport", "UndeterminedEntryError",
+    "ZERO", "add_good_node", "adjusted_entry", "as_multicharge", "as_partition",
+    "candidate_entries", "canonical_basis", "decomposition_matrix", "degree",
+    "degree_contribution", "degree_parity", "evidence_report", "format_multipartition",
+    "induct", "is_2_restricted", "multipartition_size", "multipartitions",
+    "parse_multipartition", "parse_residues", "partitions", "pin_via_truncation",
+    "published_evidence", "q_power", "qdim_hecke", "qdim_specht", "qdim_truncation",
     "residue_sequence", "restricted_multipartitions", "row_filled_tableau", "simple_qdims",
     "standard_tableaux", "standard_tableaux_with_degrees", "tableaux_with_residue_sequence",
     "verify_hecke_even", "verify_row_degree_parity", "verify_specht_parity",
 ]
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "qspecht").glob("*.py"))
 
 
 def probe(code: str, *args: str):
@@ -89,7 +92,7 @@ def test_the_package_exports_its_names_on_first_access():
 def test_only_core_holds_context_variables_and_no_module_reads_anothers_private_names():
     # every per-call memo is a core.CallMemo, and modules meet through public names
     found = []
-    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "qspecht").glob("*.py")):
+    for path in SOURCES:
         tree = ast.parse(path.read_text())
         siblings = set()  # names bound by imports from the package
         for node in ast.walk(tree):
@@ -117,3 +120,29 @@ def test_only_core_holds_context_variables_and_no_module_reads_anothers_private_
             ):
                 found.append((path.name, f"{node.value.id}.{node.attr}"))
     assert not found
+
+
+def test_the_signature_has_three_readers_and_the_node_lists_live_in_the_oracles():
+    # `core.steps` serves the tableau search, the branching recursion and the
+    # Fock space; `degree_contribution` is the literal prefix recursion; the
+    # crystal summarises one component per residue
+    readers = set()
+    defined = set()
+    for path in SOURCES:
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    defined.add(node.name)
+                elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                    defined.add(node.id)
+                elif isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                    if name == "signature":
+                        readers.add((path.name, getattr(top, "name", "<module>")))
+    assert readers == {
+        ("core.py", "steps"),
+        ("core.py", "degree_contribution"),
+        ("crystal.py", "_summary"),
+    }
+    assert not defined & {"addable_nodes", "removable_nodes", "contains_node", "residue_of"}

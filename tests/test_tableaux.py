@@ -1,5 +1,5 @@
 from collections import Counter
-from itertools import islice
+from itertools import islice, product
 
 import pytest
 
@@ -129,10 +129,30 @@ def test_pruned_search_is_complete():
 
 
 def test_incremental_degree_matches_literal_recursion():
-    kappa = (0, 1)
-    for lam in [((3, 2), (1, 1)), ((2, 2, 1), ()), ((1,), (2, 1))]:
-        for t, deg in standard_tableaux_with_degrees(lam, kappa):
-            assert deg == degree(t, kappa)
+    # the signed counts the search adds from `core.steps`, against the prefix
+    # recursion through `core.degree_contribution`, on every shape of size
+    # <= 6 at levels 1-3 under every charge; each pruned search lists, in
+    # order, the tableaux of the full search with its residue sequence
+    tableaux = 0
+    for level in (1, 2, 3):
+        for kappa in product((0, 1), repeat=level):
+            for d in range(7):
+                for lam in multipartitions(d, level):
+                    by_sequence = {}
+                    for t, deg in standard_tableaux_with_degrees(lam, kappa):
+                        assert deg == degree(t, kappa), (lam, kappa, t.places)
+                        seq = residue_sequence(t, kappa)
+                        by_sequence.setdefault(seq, []).append((t, deg))
+                        tableaux += 1
+                    for seq, found in by_sequence.items():
+                        pruned = list(standard_tableaux_with_degrees(lam, kappa, seq))
+                        assert pruned == found, (lam, kappa, seq)
+    assert tableaux == sum(
+        2**level * multipartition_tableau_count(lam)
+        for level in (1, 2, 3)
+        for d in range(7)
+        for lam in multipartitions(d, level)
+    )
 
 
 def test_all_degrees_of_a_shape_share_parity():
