@@ -127,23 +127,14 @@ def _survivor(candidates: Iterable[LaurentPoly], truncation: LaurentPoly) -> Lau
 
 
 def pin_via_truncation(
-    ev: AdjustmentEvidence,
-    kappa: Multicharge,
-    bound: int | None = None,
-    residues: tuple[int, ...] | None = None,
+    ev: AdjustmentEvidence, kappa: Multicharge, bound: int | None = None
 ) -> LaurentPoly:
-    """Pin the graded entry: keep the candidates q^m + q^-m whose degree -m
-    actually occurs in the residue truncation of the Specht module of
-    ``ev.lam``, and return the survivor if it is unique.
-
-    Without an explicit residue sequence, ``ev.mu`` must be a single column,
-    whose simple module is fixed by the idempotent of the row-filled residue
-    sequence; that sequence is computed, not hard-coded.
-    """
-    if residues is None:
-        residues = _column_residues(ev, kappa)
-    truncation = qdim_truncation((ev.lam,), kappa, residues)
-    return _survivor(candidate_entries(ev, kappa, bound), truncation)
+    """The entry that :func:`evidence_report` pins; ``UndeterminedEntryError``
+    if its report leaves the entry undetermined."""
+    report = evidence_report(ev, kappa, bound)
+    if report.pinned is None:
+        raise UndeterminedEntryError(report.note)
+    return report.pinned
 
 
 def adjusted_entry(
@@ -190,8 +181,14 @@ def evidence_report(
     ev: AdjustmentEvidence, kappa: Multicharge, bound: int | None = None
 ) -> EvidenceReport:
     """Run the pinning pipeline for one evidence pair, never raising: an
-    undetermined entry is reported as such.  The candidates and the
-    truncation are computed once each."""
+    undetermined entry is reported as such.
+
+    The candidates keep those q^m + q^-m whose degree -m actually occurs in
+    the residue truncation of the Specht module of ``ev.lam``, and the entry
+    is pinned if one survives.  ``ev.mu`` must be a single column, whose
+    simple module is fixed by the idempotent of the row-filled residue
+    sequence; that sequence is computed, not hard-coded.  The candidates and
+    the truncation are computed once each."""
     candidates = tuple(candidate_entries(ev, kappa, bound))
     degrees, count, pinned = (), None, None
     try:

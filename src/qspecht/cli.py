@@ -35,12 +35,9 @@ class UsageError(Exception):
 
 def _parse_charge(args):
     try:
-        charge = as_multicharge(parse_residues(args.charge))
+        return as_multicharge(parse_residues(args.charge))
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    if getattr(args, "level", None) is not None and args.level != len(charge):
-        raise UsageError(f"--level {args.level} does not match charge length {len(charge)}")
-    return charge
 
 
 def _parse_shape(args):
@@ -185,7 +182,7 @@ def _cmd_llt(args) -> int:
         raise UsageError("the canonical-basis computation is level-1 only")
     _check_nonnegative(args.d, "--d")
     matrix = decomposition_matrix(args.d, charge)
-    simples = simple_qdims(args.d, charge, matrix)
+    simples = simple_qdims(matrix, charge)
     parity = {lam: degree_parity(lam, charge) for lam in (*matrix.rows, *matrix.cols)}
     cells = matrix.nonzero_cells()  # a zero entry is pure of either parity
     # violation lines name a shape (lam,) by its one partition lam
@@ -279,11 +276,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, fmt=("text", "json"), level=True):
+    def common(p, *, fmt=("text", "json")):
         p.add_argument("--format", choices=fmt, default="text")
         p.add_argument("--charge", default="0", help="comma-separated residues")
-        if level:
-            p.add_argument("--level", type=int, default=None)
 
     p = sub.add_parser("qdim", help="graded dimension of a Specht module")
     p.add_argument("--lambda", dest="shape", required=True)
@@ -315,12 +310,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("llt", help="characteristic-0 graded decomposition matrix")
     p.add_argument("--d", type=int, required=True)
-    common(p, fmt=("text", "json", "csv"), level=False)
+    common(p, fmt=("text", "json", "csv"))
     p.set_defaults(func=_cmd_llt)
 
     p = sub.add_parser("adjustment", help="pin graded adjustment entries")
     p.add_argument("--bound", type=int, default=None)
-    common(p, level=False)
+    common(p)
     p.set_defaults(func=_cmd_adjustment)
 
     return parser

@@ -172,7 +172,7 @@ def degree_contribution(lam: Multipartition, kappa: Multicharge, node: Node) -> 
     the tableau's degree.  The count is read from the signature of the
     node's residue over its component and the components after it.
     """
-    check_component_count(lam, kappa)
+    check_shape(lam, kappa)
     a0, b0, m0 = node
     comp = lam[m0 - 1] if 1 <= m0 <= len(lam) else ()
     if not (1 <= a0 <= len(comp) and 1 <= b0 <= comp[a0 - 1]):

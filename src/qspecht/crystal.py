@@ -27,6 +27,7 @@ from .core import (
     Multicharge,
     Multipartition,
     Partition,
+    as_partition,
     check_component_count,
     empty_multipartition,
     signature,
@@ -70,6 +71,7 @@ def add_good_node(
         k = kappa[m] % 2
         pair = memo[k].get(comp)
         if pair is None:
+            as_partition(comp)  # once per component the memo holds
             pair = memo[k][comp] = tuple(_summary(comp, k, r) for r in RESIDUES)
         A, B, grown = pair[i]
         if A > pending:

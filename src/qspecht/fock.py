@@ -379,15 +379,14 @@ def decomposition_matrix(d: int, kappa: Multicharge = (0,)) -> GradedDecompositi
 
 
 def simple_qdims(
-    d: int, kappa: Multicharge = (0,), matrix: GradedDecompositionMatrix | None = None
+    matrix: GradedDecompositionMatrix, kappa: Multicharge = (0,)
 ) -> dict[Multipartition, LaurentPoly]:
     """Graded dimensions of the simple modules in characteristic 0, solved by
-    back-substitution through the unitriangular decomposition system.  The
-    Specht graded dimensions of the columns share one memo."""
+    back-substitution through the unitriangular decomposition system of
+    ``matrix``, which fixes the size.  The Specht graded dimensions of the
+    columns share one memo."""
     from .specht import qdim_memo, qdim_specht
 
-    if matrix is None:
-        matrix = decomposition_matrix(d, kappa)
     with qdim_memo.held():
         spechts = {mu: qdim_specht(mu, kappa) for mu in matrix.cols}
     simples: dict[Multipartition, LaurentPoly] = {}

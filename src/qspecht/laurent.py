@@ -37,10 +37,6 @@ class LaurentPoly:
         out._hash = None
         return out
 
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[Iterable[int]]) -> "LaurentPoly":
-        return cls((int(e), int(c)) for e, c in pairs)
-
     def to_pairs(self) -> list[list[int]]:
         """JSON form: [exponent, coefficient] pairs, ascending by exponent."""
         return [[e, self._terms[e]] for e in sorted(self._terms)]

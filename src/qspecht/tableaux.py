@@ -77,11 +77,17 @@ class StandardTableau:
 
     def check(self) -> None:
         """Validate standardness: every placement prefix must be a diagram."""
-        if len(self.places) != multipartition_size(self.shape):
-            raise ValueError("placement length does not match the shape size")
-        partial: Multipartition = ((),) * len(self.shape)
+        for _ in self._walk():
+            pass
+
+    def _walk(self) -> Iterator[tuple[Multipartition, Node]]:
+        """Yield each placement with the diagram its prefix fills, then raise
+        ``ValueError`` unless the last diagram is the shape.  Each diagram
+        holds one node per placement, so the lengths then agree too."""
+        partial = empty_multipartition(len(self.shape))
         for node in self.places:
             partial = with_node_added(partial, node)
+            yield partial, node
         if partial != self.shape:
             raise ValueError("placements do not fill the shape")
 
@@ -167,11 +173,6 @@ def residue_sequence(t: StandardTableau, kappa: Multicharge) -> tuple[int, ...]:
 def degree(t: StandardTableau, kappa: Multicharge) -> int:
     """Degree of a standard tableau, by the literal recursion over prefixes:
     the signed node count of the last-placed entry in the grown shape, plus
-    the degree of the rest."""
+    the degree of the rest.  The walk checks the tableau as it goes."""
     check_component_count(t.shape, kappa)
-    partial: Multipartition = ((),) * len(t.shape)
-    total = 0
-    for node in t.places:
-        partial = with_node_added(partial, node)
-        total += degree_contribution(partial, kappa, node)
-    return total
+    return sum(degree_contribution(partial, kappa, node) for partial, node in t._walk())

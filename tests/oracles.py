@@ -1,6 +1,7 @@
 """Independent oracles used by the tests; these deliberately avoid the code
 paths they are checking."""
 
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations
 from math import factorial
@@ -167,6 +168,36 @@ def degree_contribution(lam, kappa, node):
     return sum(is_below(other, node) for other in addable_nodes(lam, kappa, i)) - sum(
         is_below(other, node) for other in removable_nodes(lam, kappa, i)
     )
+
+
+def literal_degree(shape, places, kappa):
+    """The degree of the placements ``places`` by the literal prefix
+    recursion, or None if they are not a standard tableau of ``shape``: each
+    new cell must leave a diagram, checked cell by cell, and the last
+    diagram must be ``shape``."""
+    cells = [set() for _ in shape]
+    prefix = tuple(() for _ in shape)
+    total = 0
+    for a, b, m in places:
+        if not 1 <= m <= len(shape) or (a, b) in cells[m - 1]:
+            return None
+        cells[m - 1].add((a, b))
+        if not _is_diagram(cells[m - 1]):
+            return None
+        rows = Counter(row for row, _ in cells[m - 1])
+        comp = tuple(rows[row] for row in range(1, len(rows) + 1))
+        prefix = prefix[: m - 1] + (comp,) + prefix[m:]
+        total += degree_contribution(prefix, kappa, (a, b, m))
+    return total if prefix == shape else None
+
+
+def pair_sums(pairs):
+    """{exponent: summed coefficient} of ``[exponent, coefficient]`` pairs,
+    zero sums left out."""
+    sums = {}
+    for e, c in pairs:
+        sums[e] = sums.get(e, 0) + c
+    return {e: c for e, c in sums.items() if c}
 
 
 def divided_power(lam, kappa, i, k):

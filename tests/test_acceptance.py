@@ -107,7 +107,7 @@ def test_criterion_5_canonical_basis_suite():
     failures = []
     for d in range(1, 11):
         matrix = decomposition_matrix(d)
-        simples = simple_qdims(d, K0, matrix)
+        simples = simple_qdims(matrix, K0)
         for mu in matrix.cols:
             if matrix.entry(mu, mu) != ONE:
                 failures.append(("diagonal", d, mu))

@@ -21,7 +21,7 @@ from qspecht.core import (
     steps,
 )
 from qspecht.crystal import add_good_node
-from qspecht.fock import simple_qdims
+from qspecht.fock import decomposition_matrix, simple_qdims
 from qspecht.laurent import LaurentPoly, ONE, Q, ZERO, q_power
 from qspecht.specht import (
     qdim_hecke,
@@ -104,7 +104,7 @@ def test_no_memo_outlives_a_call():
     before = module_states()
     assert verify_specht_parity(6, (0, 1)).ok
     assert verify_hecke_even(4, (0, 1)).ok
-    assert simple_qdims(6)
+    assert simple_qdims(decomposition_matrix(6))
     for argv in (
         ["verify", "parity", "--d", "8"],
         ["verify", "parity", "--d", "6", "--charge", "0,1"],
@@ -140,6 +140,13 @@ def test_a_component_that_is_no_partition_is_a_value_error():
         standard_tableaux_with_degrees(((2, 3),), K0)
     with pytest.raises(ValueError, match="positive"):
         standard_tableaux_with_degrees(((0,),), K0)
+    # unchecked, these grew (1, 3) to (1, 3, 1) and counted 1 at its first node
+    with pytest.raises(ValueError, match="weakly decreasing"):
+        add_good_node(((1, 3),), K0, 0)
+    with pytest.raises(ValueError, match="weakly decreasing"):
+        degree_contribution(((1, 3),), K0, (1, 1, 1))
+    with pytest.raises(ValueError, match="weakly decreasing"):
+        degree_contribution(((1, 3), (1,)), (0, 0), (1, 1, 2))
 
 
 @pytest.mark.parametrize("level, d", [(2, 5), (3, 4)])

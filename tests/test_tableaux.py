@@ -175,3 +175,8 @@ def test_check_rejects_nonstandard():
     bad = StandardTableau(((2,),), ((1, 2, 1), (1, 1, 1)))
     with pytest.raises(ValueError):
         bad.check()
+    # the placements are standard but stop short of the shape
+    short = StandardTableau(((5,),), ((1, 1, 1),))
+    for reading in (short.check, lambda: degree(short, K0)):
+        with pytest.raises(ValueError, match="do not fill the shape"):
+            reading()
