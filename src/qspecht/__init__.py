@@ -25,15 +25,13 @@ _EXPORTS = {
         "parse_residues",
         "partitions",
     ),
-    "laurent": ("LaurentPoly", "ONE", "ParityElem", "Q", "ZERO", "q_power"),
+    "laurent": ("LaurentPoly", "ONE", "Q", "ZERO", "q_power"),
     "tableaux": (
         "StandardTableau",
         "degree",
         "residue_sequence",
         "row_filled_tableau",
-        "standard_tableaux",
         "standard_tableaux_with_degrees",
-        "tableaux_with_residue_sequence",
     ),
     "specht": (
         "SweepReport",
@@ -60,7 +58,6 @@ _EXPORTS = {
         "adjusted_entry",
         "candidate_entries",
         "evidence_report",
-        "pin_via_truncation",
         "published_evidence",
     ),
 }

@@ -70,17 +70,14 @@ def default_bound(ev: AdjustmentEvidence, kappa: Multicharge) -> int:
     return max(abs(qdim.min_exponent()), abs(qdim.max_exponent()))
 
 
-def candidate_entries(
-    ev: AdjustmentEvidence, kappa: Multicharge, bound: int | None = None
-) -> list[LaurentPoly]:
+def candidate_entries(ev: AdjustmentEvidence, kappa: Multicharge) -> list[LaurentPoly]:
     """All bar-symmetric polynomials with nonnegative coefficients, pure of
     the combined parity of the two shapes, evaluating at 1 to the published
-    value, with exponents bounded in absolute value.
+    value, with exponents bounded in absolute value by :func:`default_bound`.
 
     Returned sorted by exponent profile for determinism.
     """
-    if bound is None:
-        bound = default_bound(ev, kappa)
+    bound = default_bound(ev, kappa)
     parity = (degree_parity((ev.lam,), kappa) + degree_parity((ev.mu,), kappa)) % 2
     exponents = [m for m in range(1, bound + 1) if m % 2 == parity]
     found: list[LaurentPoly] = []
@@ -126,17 +123,6 @@ def _survivor(candidates: Iterable[LaurentPoly], truncation: LaurentPoly) -> Lau
     return survivors[0]
 
 
-def pin_via_truncation(
-    ev: AdjustmentEvidence, kappa: Multicharge, bound: int | None = None
-) -> LaurentPoly:
-    """The entry that :func:`evidence_report` pins; ``UndeterminedEntryError``
-    if its report leaves the entry undetermined."""
-    report = evidence_report(ev, kappa, bound)
-    if report.pinned is None:
-        raise UndeterminedEntryError(report.note)
-    return report.pinned
-
-
 def adjusted_entry(
     d0_row: list[LaurentPoly], adjustment_col: list[LaurentPoly]
 ) -> LaurentPoly:
@@ -177,9 +163,7 @@ class EvidenceReport:
         }
 
 
-def evidence_report(
-    ev: AdjustmentEvidence, kappa: Multicharge, bound: int | None = None
-) -> EvidenceReport:
+def evidence_report(ev: AdjustmentEvidence, kappa: Multicharge) -> EvidenceReport:
     """Run the pinning pipeline for one evidence pair, never raising: an
     undetermined entry is reported as such.
 
@@ -189,7 +173,7 @@ def evidence_report(
     simple module is fixed by the idempotent of the row-filled residue
     sequence; that sequence is computed, not hard-coded.  The candidates and
     the truncation are computed once each."""
-    candidates = tuple(candidate_entries(ev, kappa, bound))
+    candidates = tuple(candidate_entries(ev, kappa))
     degrees, count, pinned = (), None, None
     try:
         truncation = qdim_truncation((ev.lam,), kappa, _column_residues(ev, kappa))

@@ -245,10 +245,7 @@ def _cmd_adjustment(args) -> int:
     charge = _parse_charge(args)
     if len(charge) != 1:
         raise UsageError("the published adjustment evidence is level-1 only")
-    _check_nonnegative(args.bound, "--bound")
-    reports = [
-        adj.evidence_report(ev, charge, args.bound) for ev in adj.published_evidence()
-    ]
+    reports = [adj.evidence_report(ev, charge) for ev in adj.published_evidence()]
     payload = {"charge": list(charge), "entries": [r.to_json() for r in reports]}
     lines = []
     for r in reports:
@@ -314,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_llt)
 
     p = sub.add_parser("adjustment", help="pin graded adjustment entries")
-    p.add_argument("--bound", type=int, default=None)
     common(p)
     p.set_defaults(func=_cmd_adjustment)
 

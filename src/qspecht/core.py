@@ -152,6 +152,8 @@ def signature(lam: Multipartition, kappa: Multicharge, i: int) -> list[tuple[Nod
 
 def with_node_added(lam: Multipartition, node: Node) -> Multipartition:
     a, b, m = node
+    if not (isinstance(a, int) and isinstance(b, int) and isinstance(m, int)):
+        raise ValueError(f"node coordinates must be integers, got {node!r}")
     if not 1 <= m <= len(lam):
         raise ValueError(f"component {m} out of range for {lam!r}")
     comp = list(lam[m - 1])
@@ -244,25 +246,17 @@ def partitions(d: int) -> Iterator[Partition]:
     """Partitions of ``d`` in reverse-lexicographic order: (d) first, (1^d) last."""
     if d < 0:
         raise ValueError("size must be nonnegative")
+    yield from _partitions(d, d)
+
+
+def _partitions(d: int, cap: int) -> Iterator[Partition]:
+    """Partitions of ``d`` with parts at most ``cap``, largest first part first."""
     if d == 0:
         yield ()
         return
-    parts = [d]
-    yield (d,)
-    while parts != [1] * d:
-        k = len(parts) - 1
-        while parts[k] == 1:
-            k -= 1
-        trailing = len(parts) - k - 1
-        parts[k] -= 1
-        cap = parts[k]
-        rest = trailing + 1
-        del parts[k + 1 :]
-        while rest:
-            take = min(cap, rest)
-            parts.append(take)
-            rest -= take
-        yield tuple(parts)
+    for first in range(min(d, cap), 0, -1):
+        for rest in _partitions(d - first, first):
+            yield (first,) + rest
 
 
 def _compositions(d: int, length: int) -> Iterator[tuple[int, ...]]:

@@ -148,9 +148,6 @@ class FockVector:
                 del terms[mu]
         return FockVector._adopt(terms)
 
-    def __sub__(self, other: "FockVector") -> "FockVector":
-        return self.sub_scaled(ONE, other)
-
     def __repr__(self) -> str:
         inner = " + ".join(f"({c})|{format_multipartition(mu)}>" for mu, c in self.items())
         return f"FockVector<{inner or '0'}>"

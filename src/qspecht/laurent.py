@@ -9,7 +9,6 @@ closed formula, so nothing here divides.
 from __future__ import annotations
 
 from collections.abc import ItemsView, Iterable, Mapping
-from dataclasses import dataclass
 
 
 class LaurentPoly:
@@ -126,12 +125,6 @@ class LaurentPoly:
     def eval_at_one(self) -> int:
         return sum(self._terms.values())
 
-    def parity_project(self) -> "ParityElem":
-        """Image in the rank-2 parity ring: sums of even- and odd-exponent coefficients."""
-        even = sum(c for e, c in self._terms.items() if e % 2 == 0)
-        odd = sum(c for e, c in self._terms.items() if e % 2)
-        return ParityElem(even, odd)
-
     def is_pure_parity(self, parity: int) -> bool:
         """True if every exponent is congruent to ``parity`` mod 2 and every
         coefficient is nonnegative."""
@@ -171,19 +164,3 @@ Q = LaurentPoly({1: 1})
 def q_power(exponent: int) -> LaurentPoly:
     return LaurentPoly({exponent: 1})
 
-
-@dataclass(frozen=True)
-class ParityElem:
-    """Element of the parity ring Z·1 + Z·u with u^2 = 1."""
-
-    even: int
-    odd: int
-
-    def __add__(self, other: "ParityElem") -> "ParityElem":
-        return ParityElem(self.even + other.even, self.odd + other.odd)
-
-    def __mul__(self, other: "ParityElem") -> "ParityElem":
-        return ParityElem(
-            self.even * other.even + self.odd * other.odd,
-            self.even * other.odd + self.odd * other.even,
-        )

@@ -57,18 +57,6 @@ class StandardTableau:
             )
         return "|".join(comps)
 
-    def __str__(self) -> str:
-        blocks = []
-        for rows in self.entry_rows():
-            if not rows:
-                blocks.append("-")
-                continue
-            width = max(len(str(e)) for row in rows for e in row)
-            blocks.append(
-                "\n".join(" ".join(str(e).rjust(width) for e in row) for row in rows)
-            )
-        return "\n---\n".join(blocks)
-
     def to_json(self) -> dict:
         return {
             "shape": format_multipartition(self.shape),
@@ -138,12 +126,6 @@ def _search(
     yield from grow(empty_multipartition(len(lam)), 0)
 
 
-def standard_tableaux(lam: Multipartition) -> Iterator[StandardTableau]:
-    """All standard tableaux of ``lam``, generated incrementally; the charge
-    only sets the degrees, which are dropped."""
-    return (t for t, _ in standard_tableaux_with_degrees(lam, (0,) * len(lam)))
-
-
 def standard_tableaux_with_degrees(
     lam: Multipartition, kappa: Multicharge, residues: tuple[int, ...] | None = None
 ) -> Iterator[tuple[StandardTableau, int]]:
@@ -157,17 +139,11 @@ def standard_tableaux_with_degrees(
     return ((StandardTableau(lam, places), deg) for places, deg in found)
 
 
-def tableaux_with_residue_sequence(
-    lam: Multipartition, kappa: Multicharge, residues: tuple[int, ...]
-) -> list[StandardTableau]:
-    """Standard tableaux of ``lam`` whose residue sequence equals ``residues``."""
-    return [t for t, _ in standard_tableaux_with_degrees(lam, kappa, tuple(residues))]
-
-
 def residue_sequence(t: StandardTableau, kappa: Multicharge) -> tuple[int, ...]:
-    """Entrywise residues of the occupied nodes."""
+    """Entrywise residues of the occupied nodes.  The walk checks the
+    tableau as it goes."""
     check_component_count(t.shape, kappa)
-    return tuple((kappa[m - 1] + b - a) % 2 for (a, b, m) in t.places)
+    return tuple((kappa[m - 1] + b - a) % 2 for _, (a, b, m) in t._walk())
 
 
 def degree(t: StandardTableau, kappa: Multicharge) -> int:

@@ -13,7 +13,7 @@ from qspecht.core import (
 )
 from qspecht.fock import FockVector, induct
 from qspecht.laurent import ONE, ZERO, LaurentPoly, q_power
-from qspecht.tableaux import degree, residue_sequence, standard_tableaux
+from qspecht.tableaux import degree, residue_sequence, standard_tableaux_with_degrees
 
 
 def with_node_removed(lam, node):
@@ -354,9 +354,9 @@ def dense_matrix_json(matrix):
 
 def literal_truncations(lam, kappa):
     """The literal definition of graded dimensions, by residue sequence:
-    q^degree(t) summed over ``standard_tableaux(lam)``."""
+    q^degree(t) summed over the listed tableaux of ``lam``."""
     out = {}
-    for t in standard_tableaux(lam):
+    for t, _ in standard_tableaux_with_degrees(lam, (0,) * len(lam)):
         seq = residue_sequence(t, kappa)
         out[seq] = out.get(seq, ZERO) + q_power(degree(t, kappa))
     return out

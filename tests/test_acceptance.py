@@ -7,7 +7,7 @@ import time
 from itertools import product
 from math import factorial
 
-from qspecht.adjustment import pin_via_truncation, published_evidence
+from qspecht.adjustment import evidence_report, published_evidence
 from qspecht.core import (
     degree_parity,
     is_2_restricted,
@@ -24,7 +24,7 @@ from qspecht.specht import (
     qdim_truncation,
     verify_specht_parity,
 )
-from qspecht.tableaux import degree, row_filled_tableau, tableaux_with_residue_sequence
+from qspecht.tableaux import degree, row_filled_tableau, standard_tableaux_with_degrees
 from oracles import hook_length_count
 
 K0 = (0,)
@@ -78,12 +78,13 @@ def test_criterion_2_row_tableau_degree_parity_sweep():
 def test_criterion_3_adjustment_reproduction():
     started = time.time()
     lam = ((3, 2, 2, 1),)
-    found = tableaux_with_residue_sequence(lam, K0, (0, 1, 0, 1, 0, 1, 0, 1))
-    degrees = sorted(degree(t, K0) for t in found)
-    ok = len(found) == 4 and degrees == [-1, 1, 1, 1]
+    found = list(standard_tableaux_with_degrees(lam, K0, (0, 1, 0, 1, 0, 1, 0, 1)))
+    degrees = sorted(degree(t, K0) for t, _ in found)
+    ok = all(deg == degree(t, K0) for t, deg in found)
+    ok = ok and len(found) == 4 and degrees == [-1, 1, 1, 1]
     expected = Q + q_power(-1)
     for ev in published_evidence()[:3]:
-        ok = ok and pin_via_truncation(ev, K0) == expected
+        ok = ok and evidence_report(ev, K0).pinned == expected
     _report(3, "exactly 4 alternating-residue tableaux with degrees "
                "{1,1,1,-1}; all three column pairs pin to q+q^-1", ok, started)
     assert ok
@@ -94,7 +95,7 @@ def test_criterion_4_hecke_grading_even_and_total_dimension():
     ok = True
     for d in range(9):
         qdim = qdim_hecke(d, K0)
-        ok = ok and qdim.parity_project().odd == 0
+        ok = ok and qdim.is_pure_parity(0)
         ok = ok and qdim.eval_at_one() == factorial(d)
     _report(4, "algebra graded dimension is even-degree only and totals d! "
                "for d<=8", ok, started)

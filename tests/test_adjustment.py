@@ -2,12 +2,10 @@ import pytest
 
 from qspecht.adjustment import (
     AdjustmentEvidence,
-    UndeterminedEntryError,
     adjusted_entry,
     candidate_entries,
     default_bound,
     evidence_report,
-    pin_via_truncation,
     published_evidence,
 )
 from qspecht.core import degree_parity
@@ -17,7 +15,7 @@ from qspecht.tableaux import (
     degree,
     residue_sequence,
     row_filled_tableau,
-    tableaux_with_residue_sequence,
+    standard_tableaux_with_degrees,
 )
 
 K0 = (0,)
@@ -46,7 +44,8 @@ def test_evidence_validation():
 
 def test_candidate_entries_odd_value_two():
     ev = published_evidence()[0]
-    found = candidate_entries(ev, K0, bound=5)
+    assert default_bound(ev, K0) == 5
+    found = candidate_entries(ev, K0)
     assert found == [
         Q + q_power(-1),
         q_power(3) + q_power(-3),
@@ -56,15 +55,16 @@ def test_candidate_entries_odd_value_two():
 
 def test_candidate_entries_degenerate_cases():
     zero = AdjustmentEvidence((2, 1), (1, 1, 1), 0, 2)
-    assert candidate_entries(zero, K0, bound=4) == [ZERO]
+    assert candidate_entries(zero, K0) == [ZERO]
     same_parity = AdjustmentEvidence((2, 2, 1), (1,) * 5, 1, 2)
     assert degree_parity(((2, 2, 1),), K0) == degree_parity(((1,) * 5,), K0)
-    assert candidate_entries(same_parity, K0, bound=3) == [ONE]
+    assert candidate_entries(same_parity, K0) == [ONE]
 
 
 def test_candidate_entries_mixed_even_value():
     ev = AdjustmentEvidence((2, 2, 1), (1,) * 5, 2, 2)
-    found = candidate_entries(ev, K0, bound=2)
+    assert default_bound(ev, K0) == 2
+    found = candidate_entries(ev, K0)
     assert set(found) == {
         LaurentPoly({0: 2}),
         q_power(2) + q_power(-2),
@@ -74,27 +74,28 @@ def test_candidate_entries_mixed_even_value():
 def test_candidates_satisfy_all_constraints():
     for ev in published_evidence():
         parity = (degree_parity((ev.lam,), K0) + degree_parity((ev.mu,), K0)) % 2
-        for f in candidate_entries(ev, K0, bound=4):
+        for f in candidate_entries(ev, K0):
             assert f.bar() == f
             assert f.eval_at_one() == ev.ungraded_value
             assert f.is_pure_parity(parity)
 
 
-def test_pin_via_truncation_published_columns():
+def test_evidence_report_pins_published_columns():
     expected = Q + q_power(-1)
     for ev in published_evidence()[:3]:
-        assert pin_via_truncation(ev, K0) == expected
+        assert evidence_report(ev, K0).pinned == expected
 
 
 def test_pin_fourth_pair_is_undetermined():
-    with pytest.raises(UndeterminedEntryError):
-        pin_via_truncation(published_evidence()[3], K0)
+    report = evidence_report(published_evidence()[3], K0)
+    assert report.pinned is None
+    assert report.note.startswith("undetermined: ")
 
 
 def test_pinned_entry_witnesses_negative_degree():
     # a pinned non-constant bar-symmetric entry has a negative exponent, so
     # the corresponding graded numbers leave the polynomial ring
-    entry = pin_via_truncation(published_evidence()[0], K0)
+    entry = evidence_report(published_evidence()[0], K0).pinned
     assert entry.min_exponent() < 0
     assert entry != LaurentPoly({0: entry.eval_at_one()})
 
@@ -103,7 +104,9 @@ def test_default_bound_comes_from_specht_support():
     ev = published_evidence()[0]
     bound = default_bound(ev, K0)
     assert bound >= 1
-    assert pin_via_truncation(ev, K0, bound=bound) == Q + q_power(-1)
+    report = evidence_report(ev, K0)
+    assert report.pinned == Q + q_power(-1)
+    assert max(f.max_exponent() for f in report.candidates) == bound
 
 
 def test_adjusted_entry_identity_and_errors():
@@ -120,7 +123,7 @@ def test_adjusted_entry_for_pinned_column():
     # column of the column-shape, filled with the pinned entry
     matrix = decomposition_matrix(8)
     lam = ((3, 2, 2, 1),)
-    pinned = pin_via_truncation(published_evidence()[0], K0)
+    pinned = evidence_report(published_evidence()[0], K0).pinned
     column = []
     for nu in matrix.cols:
         if nu == lam:
@@ -155,9 +158,10 @@ def test_evidence_counts_are_the_listed_tableaux(kappa):
     for ev in published_evidence()[:3]:
         report = evidence_report(ev, kappa)
         residues = residue_sequence(row_filled_tableau((ev.mu,)), kappa)
-        found = tableaux_with_residue_sequence((ev.lam,), kappa, residues)
+        found = list(standard_tableaux_with_degrees((ev.lam,), kappa, residues))
         assert report.tableau_count == len(found) > 0
-        assert report.degrees == tuple(sorted(degree(t, kappa) for t in found))
+        assert report.degrees == tuple(sorted(degree(t, kappa) for t, _ in found))
+        assert all(degree(t, kappa) == deg for t, deg in found)
 
 
 def test_each_evidence_computes_its_candidates_and_truncation_once(monkeypatch):

@@ -329,16 +329,26 @@ def test_byte_identical_reruns(capsys):
     assert first == second
 
 
+def assert_unrecognized(capsys, argv, extra):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, *extra])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.err.startswith("usage: ")
+    assert f"unrecognized arguments: {' '.join(extra)}" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_parallel_flag_is_a_usage_error(capsys):
     # the level is the charge's length, so no flag repeats it
+    verify = ["verify", "parity", "--d", "5"]
     for extra in (["--parallel"], ["--level", "1"]):
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "parity", "--d", "5", *extra])
-        captured = capsys.readouterr()
-        assert exc.value.code == 2
-        assert captured.err.startswith("usage: ")
-        assert f"unrecognized arguments: {' '.join(extra)}" in captured.err
-        assert "Traceback" not in captured.err and captured.out == ""
+        assert_unrecognized(capsys, verify, extra)
+
+
+def test_adjustment_bound_flag_is_a_usage_error(capsys):
+    # the adjustment bound is always the one the truncation argument gives
+    assert_unrecognized(capsys, ["adjustment"], ["--bound", "-3"])
 
 
 @pytest.mark.parametrize(
@@ -349,9 +359,8 @@ def test_parallel_flag_is_a_usage_error(capsys):
         ["verify", "hecke", "--d", "-2"],
         ["restricted", "--d", "-1"],
         ["llt", "--d", "-1"],
-        ["adjustment", "--bound", "-3"],
     ],
-    ids=["parity", "row-degree", "hecke", "restricted", "llt", "adjustment-bound"],
+    ids=["parity", "row-degree", "hecke", "restricted", "llt"],
 )
 def test_negative_size_is_usage_error(capsys, argv):
     code = main(argv)
@@ -407,10 +416,7 @@ _command = st.one_of(
     st.tuples(st.tuples(st.just("verify"), st.sampled_from(["parity", "row-degree", "hecke", "x"])), _size),
     st.tuples(st.just(("restricted",)), _size),
     st.tuples(st.just(("llt",)), _size),
-    st.tuples(
-        st.just(("adjustment",)),
-        st.one_of(st.just(()), st.tuples(st.just("--bound"), st.sampled_from(SIZES))),
-    ),
+    st.tuples(st.just(("adjustment",))),
     st.just(()),
 ).map(_flat)
 ARGV = st.tuples(_command, _common).map(lambda drawn: drawn[0] + drawn[1])

@@ -117,6 +117,22 @@ def test_addable_removable_are_valid_moves():
                 assert with_node_added(shrunk, node) == lam
 
 
+@pytest.mark.parametrize(
+    "lam, node",
+    [
+        (((1,),), (1, 2.0, 1)),
+        (((1,),), (2.0, 1, 1)),
+        (((1,), ()), (1, 1, 2.0)),
+        (((1,),), (1, "2", 1)),
+        (((1,),), (1, 3, 1)),
+        (((1,),), (1, 2, 2)),
+    ],
+)
+def test_with_node_added_rejects_a_node_it_cannot_add(lam, node):
+    with pytest.raises(ValueError):
+        with_node_added(lam, node)
+
+
 def test_node_lists_in_below_order():
     lam = ((3, 1), (2, 2, 1))
     kappa = (0, 1)

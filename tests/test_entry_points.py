@@ -14,7 +14,12 @@ from qspecht.core import degree_contribution, degree_parity, young_nodes
 from qspecht.crystal import add_good_node
 from qspecht.laurent import ZERO, LaurentPoly
 from qspecht.specht import qdim_specht, qdim_truncation
-from qspecht.tableaux import StandardTableau, degree, standard_tableaux_with_degrees
+from qspecht.tableaux import (
+    StandardTableau,
+    degree,
+    residue_sequence,
+    standard_tableaux_with_degrees,
+)
 
 MAX_SIZE = 6
 fuzz = settings(max_examples=100, deadline=None, database=None)
@@ -120,10 +125,13 @@ def test_degree_and_check(drawn):
     if len(t.shape) == len(kappa):
         expected = oracles.literal_degree(t.shape, t.places, kappa)
     if expected is None:
-        with pytest.raises(ValueError):
-            degree(t, kappa)
+        for reading in (degree, residue_sequence):
+            with pytest.raises(ValueError):
+                reading(t, kappa)
     else:
         assert degree(t, kappa) == expected
+        residues = tuple(oracles.residue_of(node, kappa) for node in t.places)
+        assert residue_sequence(t, kappa) == residues
     if oracles.literal_degree(t.shape, t.places, (0,) * len(t.shape)) is None:
         with pytest.raises(ValueError):
             t.check()

@@ -42,7 +42,7 @@ def test_fock_vector_basics():
     assert v.coefficient(((2,),)) == Q
     assert v.coefficient(((3,),)) == ZERO
     assert v.support() == (((2,),), ((1, 1),))
-    assert v - v == FockVector()
+    assert v.sub_scaled(ONE, v) == FockVector()
     assert FockVector({((1,),): ZERO}) == FockVector()
 
 

@@ -224,7 +224,7 @@ def test_qdim_hecke_dimension_identity():
 
 def test_qdim_hecke_has_even_parity_only():
     for d in range(7):
-        assert qdim_hecke(d, K0).parity_project().odd == 0
+        assert qdim_hecke(d, K0).is_pure_parity(0)
 
 
 def test_truncations_are_pure_of_the_shape_parity():

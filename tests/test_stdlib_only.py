@@ -38,19 +38,20 @@ print(json.dumps([sorted(qspecht.__all__), sorted(set(names) - {"__builtins__"})
 """
 
 # The names `qspecht` exported when its __init__ imported every module, less
-# the node-list helpers that moved to the test oracles and `partition_parity`.
+# the node-list helpers that moved to the test oracles, `partition_parity`, and
+# the listing wrappers, `pin_via_truncation` and `ParityElem` that no command ran.
 EXPORTS = [
     "AdjustmentEvidence", "FockVector", "GradedDecompositionMatrix",
     "InternalConsistencyError", "LaurentPoly", "Multicharge", "Multipartition", "Node", "ONE",
-    "ParityElem", "Partition", "Q", "StandardTableau", "SweepReport", "UndeterminedEntryError",
+    "Partition", "Q", "StandardTableau", "SweepReport", "UndeterminedEntryError",
     "ZERO", "add_good_node", "adjusted_entry", "as_multicharge", "as_partition",
     "candidate_entries", "canonical_basis", "decomposition_matrix", "degree",
     "degree_contribution", "degree_parity", "evidence_report", "format_multipartition",
     "induct", "is_2_restricted", "multipartition_size", "multipartitions",
-    "parse_multipartition", "parse_residues", "partitions", "pin_via_truncation",
+    "parse_multipartition", "parse_residues", "partitions",
     "published_evidence", "q_power", "qdim_hecke", "qdim_specht", "qdim_truncation",
     "residue_sequence", "restricted_multipartitions", "row_filled_tableau", "simple_qdims",
-    "standard_tableaux", "standard_tableaux_with_degrees", "tableaux_with_residue_sequence",
+    "standard_tableaux_with_degrees",
     "verify_hecke_even", "verify_row_degree_parity", "verify_specht_parity",
 ]
 
