@@ -112,9 +112,9 @@ def _column_residues(ev: AdjustmentEvidence, kappa: Multicharge) -> tuple[int, .
 
 
 def _survivor(candidates: Iterable[LaurentPoly], truncation: LaurentPoly) -> LaurentPoly:
-    """The one candidate q^m + q^-m whose degree -m occurs in ``truncation``."""
-    allowed = {q_power(e) + q_power(-e) for e in truncation.support() if e < 0}
-    survivors = [f for f in candidates if f in allowed]
+    """The one candidate whose every degree <= 0 occurs in ``truncation``."""
+    degrees = set(truncation.support())
+    survivors = [f for f in candidates if all(e in degrees for e in f.support() if e <= 0)]
     if len(survivors) != 1:
         raise UndeterminedEntryError(
             f"{len(survivors)} candidates survive the truncation filter: "
@@ -167,12 +167,12 @@ def evidence_report(ev: AdjustmentEvidence, kappa: Multicharge) -> EvidenceRepor
     """Run the pinning pipeline for one evidence pair, never raising: an
     undetermined entry is reported as such.
 
-    The candidates keep those q^m + q^-m whose degree -m actually occurs in
-    the residue truncation of the Specht module of ``ev.lam``, and the entry
-    is pinned if one survives.  ``ev.mu`` must be a single column, whose
-    simple module is fixed by the idempotent of the row-filled residue
-    sequence; that sequence is computed, not hard-coded.  The candidates and
-    the truncation are computed once each."""
+    The candidates keep those whose every degree <= 0 (a constant's degree 0
+    included) actually occurs in the residue truncation of the Specht module
+    of ``ev.lam``, and the entry is pinned if one survives.  ``ev.mu`` must
+    be a single column, whose simple module is fixed by the idempotent of
+    the row-filled residue sequence; that sequence is computed, not
+    hard-coded.  The candidates and the truncation are computed once each."""
     candidates = tuple(candidate_entries(ev, kappa))
     degrees, count, pinned = (), None, None
     try:

@@ -6,14 +6,13 @@ status is 0 only when no violations or errors occurred (an undetermined
 adjustment entry is reported, not treated as an error).
 
 Only the standard library, ``core`` and ``crystal`` are imported here; every
-other handler imports its modules when it runs, so a command loads only what
-it runs.
+other handler imports its modules when it runs, and ``json`` is imported
+only for ``--format json``, so a command loads only what it runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -64,6 +63,8 @@ def _emit(payload: dict | None, text_lines: list[str], fmt: str) -> None:
     """
     try:
         if fmt == "json":
+            import json
+
             print(json.dumps(payload, indent=2, sort_keys=True))
         elif text_lines:
             sys.stdout.write("\n".join(text_lines) + "\n")
@@ -168,7 +169,9 @@ def _cmd_restricted(args) -> int:
     charge = _parse_charge(args)
     _check_nonnegative(args.d, "--d")
     found = sorted(restricted_multipartitions(args.d, charge))
-    names = [format_multipartition(lam) for lam in found]
+    # each distinct component is formatted once, as a shape of one component
+    text = {comp: format_multipartition((comp,)) for comp in set().union(*found)}
+    names = ["|".join([text[comp] for comp in lam]) for lam in found]
     payload = {"d": args.d, "charge": list(charge), "restricted": names}
     _emit(payload, [f"count: {len(names)}"] + names, args.format)
     return 0

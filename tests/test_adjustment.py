@@ -92,6 +92,27 @@ def test_pin_fourth_pair_is_undetermined():
     assert report.note.startswith("undetermined: ")
 
 
+def test_a_constant_survives_when_degree_zero_occurs():
+    # a(1) = 1 at even parity leaves the one candidate 1, and the truncation
+    # has degree 0, so the entry is pinned
+    report = evidence_report(AdjustmentEvidence((2, 2, 1), (1,) * 5, 1, 2), K0)
+    assert report.degrees == (0,)
+    assert report.candidates == (ONE,)
+    assert report.pinned == ONE
+    assert report.note == "pinned"
+
+
+def test_a_constant_candidate_can_leave_an_entry_undetermined():
+    # degree 0 occurs 7 times and -2 once, so 2 passes the filter as well as
+    # q^-2+q^2, and neither is pinned
+    report = evidence_report(AdjustmentEvidence((3, 3, 2, 2, 1), (1,) * 11, 2, 2), K0)
+    assert report.degrees.count(0) == 7 and report.degrees.count(-2) == 1
+    assert report.pinned is None
+    assert report.note == (
+        "undetermined: 2 candidates survive the truncation filter: ['2', 'q^-2+q^2']"
+    )
+
+
 def test_pinned_entry_witnesses_negative_degree():
     # a pinned non-constant bar-symmetric entry has a negative exponent, so
     # the corresponding graded numbers leave the polynomial ring

@@ -107,7 +107,7 @@ def test_restricted_matches_level_one_characterisation():
         assert generated == filtered, d
 
 
-@pytest.mark.parametrize("level,top", [(2, 10), (3, 7)])
+@pytest.mark.parametrize("level,top", [(2, 10), (3, 7), (4, 5)])
 def test_restricted_is_the_closure_under_the_oracle(level, top):
     for kappa in itertools.product((0, 1), repeat=level):
         layer = {((),) * level}
@@ -115,6 +115,20 @@ def test_restricted_is_the_closure_under_the_oracle(level, top):
             assert restricted_multipartitions(d, kappa) == layer, (kappa, d)
             grown = (oracles.add_good_node(lam, kappa, i) for lam in layer for i in (0, 1))
             layer = {lam for lam in grown if lam is not None}
+
+
+def test_the_closure_reads_charges_modulo_two():
+    for d in range(9):
+        assert restricted_multipartitions(d, (2, -1)) == restricted_multipartitions(d, (0, 1))
+        assert restricted_multipartitions(d, (3, 0, 2)) == restricted_multipartitions(d, (1, 0, 0))
+
+
+def test_add_good_node_checks_components_after_a_closure_in_the_same_block():
+    # the closure fills the summary memo unchecked, with partitions only
+    with crystal.summary_memo.held():
+        assert restricted_multipartitions(8, (0, 1))
+        with pytest.raises(ValueError, match="weakly decreasing"):
+            add_good_node(((1, 3), ()), (0, 1), 0)
 
 
 def test_restricted_subset_of_all_multipartitions():

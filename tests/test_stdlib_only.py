@@ -19,13 +19,15 @@ print(json.dumps(sorted({name.partition(".")[0] for name in set(sys.modules) - b
 
 
 # Runs one CLI command with its output discarded, and prints the qspecht
-# modules that were loaded.
+# modules that were loaded, and the json modules if the command loaded any.
 FOOTPRINT = """
-import contextlib, io, json, sys
+import contextlib, io, sys
 from qspecht.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     assert main(sys.argv[1:]) == 0
-print(json.dumps(sorted(name for name in sys.modules if name.split(".")[0] == "qspecht")))
+loaded = sorted(name for name in sys.modules if name.split(".")[0] in ("qspecht", "json"))
+import json
+print(json.dumps(loaded))
 """
 
 # Binds the package's exports by a star import in a fresh process.
@@ -80,7 +82,7 @@ def test_each_command_loads_only_the_modules_it_runs():
     loaded = probe(FOOTPRINT, "restricted", "--d", "6", "--charge", "0,1")
     assert loaded == ["qspecht", "qspecht.cli", "qspecht.core", "qspecht.crystal"]
     loaded = probe(FOOTPRINT, "qdim", "--lambda", "2,1|1", "--charge", "0,1")
-    assert "qspecht.specht" in loaded
+    assert "qspecht.specht" in loaded and "json" not in loaded
     assert "qspecht.fock" not in loaded and "qspecht.adjustment" not in loaded
 
 
