@@ -54,7 +54,6 @@ _EXPORTS = {
     ),
     "adjustment": (
         "AdjustmentEvidence",
-        "UndeterminedEntryError",
         "adjusted_entry",
         "candidate_entries",
         "evidence_report",

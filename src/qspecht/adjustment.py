@@ -10,17 +10,12 @@ only the published ungraded values below are embedded.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .core import Multicharge, Partition, as_partition, degree_parity
 from .laurent import LaurentPoly, ZERO, q_power
 from .specht import qdim_specht, qdim_truncation
 from .tableaux import residue_sequence, row_filled_tableau
-
-
-class UndeterminedEntryError(Exception):
-    """The constraints admit zero or several entries; nothing is guessed."""
 
 
 @dataclass(frozen=True)
@@ -101,28 +96,6 @@ def candidate_entries(ev: AdjustmentEvidence, kappa: Multicharge) -> list[Lauren
     return sorted(set(found), key=_poly_sort_key)
 
 
-def _column_residues(ev: AdjustmentEvidence, kappa: Multicharge) -> tuple[int, ...]:
-    """The residue sequence of the row-filled tableau of ``ev.mu``, which
-    must be a single column."""
-    if ev.mu != (1,) * sum(ev.mu):
-        raise UndeterminedEntryError(
-            f"no distinguished residue sequence: {ev.mu!r} is not a column"
-        )
-    return residue_sequence(row_filled_tableau((ev.mu,)), kappa)
-
-
-def _survivor(candidates: Iterable[LaurentPoly], truncation: LaurentPoly) -> LaurentPoly:
-    """The one candidate whose every degree <= 0 occurs in ``truncation``."""
-    degrees = set(truncation.support())
-    survivors = [f for f in candidates if all(e in degrees for e in f.support() if e <= 0)]
-    if len(survivors) != 1:
-        raise UndeterminedEntryError(
-            f"{len(survivors)} candidates survive the truncation filter: "
-            f"{[str(f) for f in survivors]}"
-        )
-    return survivors[0]
-
-
 def adjusted_entry(
     d0_row: list[LaurentPoly], adjustment_col: list[LaurentPoly]
 ) -> LaurentPoly:
@@ -175,14 +148,22 @@ def evidence_report(ev: AdjustmentEvidence, kappa: Multicharge) -> EvidenceRepor
     hard-coded.  The candidates and the truncation are computed once each."""
     candidates = tuple(candidate_entries(ev, kappa))
     degrees, count, pinned = (), None, None
-    try:
-        truncation = qdim_truncation((ev.lam,), kappa, _column_residues(ev, kappa))
+    if ev.mu != (1,) * sum(ev.mu):
+        note = f"undetermined: no distinguished residue sequence: {ev.mu!r} is not a column"
+    else:
+        residues = residue_sequence(row_filled_tableau((ev.mu,)), kappa)
+        truncation = qdim_truncation((ev.lam,), kappa, residues)
         degrees = tuple(e for e, x in sorted(truncation.terms()) for _ in range(x))
         count = len(degrees)
-        pinned = _survivor(candidates, truncation)
-        note = "pinned"
-    except UndeterminedEntryError as exc:
-        note = f"undetermined: {exc}"
+        present = set(truncation.support())
+        survivors = [f for f in candidates if all(e in present for e in f.support() if e <= 0)]
+        if len(survivors) == 1:
+            pinned, note = survivors[0], "pinned"
+        else:
+            note = (
+                f"undetermined: {len(survivors)} candidates survive the truncation filter: "
+                f"{[str(f) for f in survivors]}"
+            )
     return EvidenceReport(
         evidence=ev,
         tableau_count=count,

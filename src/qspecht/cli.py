@@ -178,25 +178,27 @@ def _cmd_restricted(args) -> int:
 
 
 def _cmd_llt(args) -> int:
-    from .fock import decomposition_matrix, simple_qdims
+    from .fock import InternalConsistencyError, decomposition_matrix, simple_qdims
 
     charge = _parse_charge(args)
     if len(charge) != 1:
         raise UsageError("the canonical-basis computation is level-1 only")
     _check_nonnegative(args.d, "--d")
     matrix = decomposition_matrix(args.d, charge)
-    simples = simple_qdims(matrix, charge)
-    parity = {lam: degree_parity(lam, charge) for lam in (*matrix.rows, *matrix.cols)}
-    cells = matrix.nonzero_cells()  # a zero entry is pure of either parity
     # violation lines name a shape (lam,) by its one partition lam
     violations = []
+    try:  # simple_qdims refuses a solved simple that is negative or not bar-symmetric
+        simples = simple_qdims(matrix, charge)
+    except InternalConsistencyError as err:
+        simples = {}
+        violations.append(f"simple qdims: {err}")
+    parity = {lam: degree_parity(lam, charge) for lam in (*matrix.rows, *matrix.cols)}
+    cells = matrix.nonzero_cells()  # a zero entry is pure of either parity
     for r, c, entry in cells:
         lam, mu = matrix.rows[r], matrix.cols[c]
         if not entry.is_pure_parity((parity[lam] + parity[mu]) % 2):
             violations.append(f"entry ({lam[0]}, {mu[0]}) = {entry} impure")
     for mu, poly in simples.items():
-        if not poly.is_bar_symmetric():
-            violations.append(f"simple qdim for {mu[0]} not bar-symmetric: {poly}")
         if not poly.is_pure_parity(parity[mu]):
             violations.append(f"simple qdim for {mu[0]} impure: {poly}")
     code = 0 if not violations else 1
@@ -207,7 +209,9 @@ def _cmd_llt(args) -> int:
             "d": args.d,
             "charge": list(charge),
             "matrix": matrix.to_json(),
-            "simples": {name: simples[mu].to_pairs() for name, mu in zip(cols, matrix.cols)},
+            "simples": {
+                name: simples[mu].to_pairs() for name, mu in zip(cols, matrix.cols) if mu in simples
+            },
             "parity_violations": violations,
         }
         _emit(payload, [], args.format)
@@ -236,7 +240,8 @@ def _cmd_llt(args) -> int:
         lines.append(f"{name.ljust(label_width)}  {texts}")
     lines.append("simple graded dimensions:")
     for name, mu in zip(cols, matrix.cols):
-        lines.append(f"  D({name}) = {simples[mu]}")
+        if mu in simples:
+            lines.append(f"  D({name}) = {simples[mu]}")
     lines += [f"violation: {v}" for v in violations]
     _emit(None, lines, args.format)
     return code

@@ -8,12 +8,15 @@ Conventions used throughout the package:
   agree and its row is larger;
 * the i-signature lists the addable and removable i-nodes in below-order
   (first component's top row first), so signed counts are reproducible;
-* :func:`signature` is the one node kernel: it alone decides which cells are
-  addable or removable i-nodes.  :func:`steps` gives each i-node with its
-  signed count and builds no shape: its callers (the tableau search, the
-  branching recursion and the Fock space) add or remove the nodes they
-  need.  :func:`degree_contribution` reads the count of one node of the
-  diagram, for the literal prefix recursion of a tableau's degree;
+* :func:`signature` is the one node kernel on tuple shapes: it alone
+  decides which cells of a tuple are addable or removable i-nodes.
+  :func:`steps` gives each i-node with its signed count and builds no
+  shape: its callers (the tableau search and the branching recursion) add
+  or remove the nodes they need.  :func:`degree_contribution` reads the
+  count of one node of the diagram, for the literal prefix recursion of a
+  tableau's degree.  The Fock space reads the same rule from bead masks
+  (``fock._moves``), and its tests check it against the tuple form read
+  from :func:`steps`;
 * :func:`check_component_count` is the one shape/charge length check, and
   :func:`check_residues` the one check of a residue sequence against a
   shape;

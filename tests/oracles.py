@@ -7,8 +7,10 @@ from itertools import combinations
 from math import factorial
 
 from qspecht.core import (
+    ADDABLE,
     empty_multipartition,
     is_2_restricted,
+    steps,
     with_node_added,
 )
 from qspecht.fock import FockVector, induct
@@ -219,6 +221,24 @@ def divided_power(lam, kappa, i, k):
             for node in nodes
         )
         out[grown] = q_power(exponent)
+    return out
+
+
+def shape_moves(lam, kappa, i, k):
+    """``(lam+S, exponent)`` for each set S of k addable i-nodes of ``lam``,
+    in the tuple form that the bead kernel of ``fock`` replaced: the nodes
+    and signed counts of ``core.steps``, each chosen node spliced into its
+    row, the exponent being the sum of their counts less k(k-1)/2."""
+    plus = [(node, count) for node, mark, count in steps(lam, kappa, i) if mark == ADDABLE]
+    overlap = k * (k - 1) // 2
+    out = []
+    for chosen in combinations(plus, k):
+        grown = lam
+        for (a, b, m), _ in chosen:
+            comp = grown[m - 1]
+            comp = comp + (1,) if b == 1 else comp[: a - 1] + (b,) + comp[a:]
+            grown = grown[: m - 1] + (comp,) + grown[m:]
+        out.append((grown, sum(count for _, count in chosen) - overlap))
     return out
 
 

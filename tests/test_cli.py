@@ -116,6 +116,31 @@ def test_llt_json(capsys):
     assert payload["parity_violations"] == []
 
 
+def test_llt_reports_a_refused_simple_as_a_violation(capsys, monkeypatch):
+    # simple_qdims raises for a solved simple that is negative or not
+    # bar-symmetric; llt reports it in its own format and exits 1
+    from qspecht import fock
+
+    def refusing(matrix, kappa):
+        raise fock.InternalConsistencyError(
+            "solved graded dimension for ((1, 1, 1),) is not bar-symmetric: 1"
+        )
+
+    monkeypatch.setattr(fock, "simple_qdims", refusing)
+    code, out = run(capsys, "llt", "--d", "3")
+    assert code == 1
+    assert out.splitlines()[-1] == (
+        "violation: simple qdims: solved graded dimension for ((1, 1, 1),) is not bar-symmetric: 1"
+    )
+    code, out = run(capsys, "llt", "--d", "3", "--format", "json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["simples"] == {}
+    assert payload["parity_violations"] == [
+        "simple qdims: solved graded dimension for ((1, 1, 1),) is not bar-symmetric: 1"
+    ]
+
+
 def test_llt_csv(capsys):
     code, out = run(capsys, "llt", "--d", "3", "--format", "csv")
     assert code == 0

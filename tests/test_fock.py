@@ -17,6 +17,7 @@ from qspecht.core import (
 )
 from qspecht.fock import (
     FockVector,
+    GradedDecompositionMatrix,
     canonical_basis,
     decomposition_matrix,
     induct,
@@ -31,6 +32,7 @@ from oracles import (
     divided_power_by_division,
     ladder_vector,
     ladder_word,
+    shape_moves,
 )
 
 K0 = (0,)
@@ -44,6 +46,8 @@ def test_fock_vector_basics():
     assert v.support() == (((2,),), ((1, 1),))
     assert v.sub_scaled(ONE, v) == FockVector()
     assert FockVector({((1,),): ZERO}) == FockVector()
+    with pytest.raises(ValueError, match="one level"):
+        FockVector({((1,),): ONE, ((1,), ()): Q})
 
 
 def test_a_bare_partition_is_not_a_fock_key():
@@ -463,3 +467,190 @@ def test_induct_from_the_move_table_is_the_standalone_induct(monkeypatch):
         assert len(inside) == 2 * sum(len(restricted_partitions(s)) for s in range(1, 13))
         for g, i, got in inside:
             assert got == induct(g, (c,), i), (g, c, i)
+
+
+@pytest.mark.parametrize("level, max_d, cases", [(1, 12, 3264), (2, 7, 5976), (3, 5, 9312)])
+def test_bead_moves_match_the_tuple_moves(level, max_d, cases):
+    # the bead kernel against the tuple form it replaced, on every shape of
+    # every size up to max_d, every charge in {0, 1}^level, both residues and
+    # k <= 3: the same grown shapes with the same exponents, in a layout with
+    # room for them
+    seen = 0
+    for kappa in product((0, 1), repeat=level):
+        for d in range(max_d + 1):
+            beads = fock._layout(level, d + 3)
+            for lam in multipartitions(d, level):
+                x = beads.code(lam)
+                for i in (0, 1):
+                    add, rem = beads.masks(kappa, i)
+                    for k in (1, 2, 3):
+                        got = [(beads.shape(y), e) for y, e in fock._moves(x, add, rem, k)]
+                        assert sorted(got) == sorted(shape_moves(lam, kappa, i, k)), (lam, kappa, i, k)
+                        seen += 1
+    assert seen == cases
+
+
+def test_bead_masks_and_coefficient_codes_round_trip():
+    for level, max_d in [(1, 16), (2, 8), (3, 6)]:
+        for size in (max_d, 2 * max_d + 1):
+            beads = fock._layout(level, size)
+            masks = set()
+            for d in range(max_d + 1):
+                for lam in multipartitions(d, level):
+                    x = beads.code(lam)
+                    assert beads.shape(x) == lam, (lam, beads.cap)
+                    masks.add(x)
+            assert len(masks) == sum(1 for d in range(max_d + 1) for _ in multipartitions(d, level))
+    top = (1 << 30) - 1
+    polys = [
+        ZERO,
+        ONE,
+        q_power(-40),
+        LaurentPoly({-3: -5, 0: 2, 7: 1}),
+        LaurentPoly({-8: top, -7: -top, 0: -1, 1: top, 40: -top}),
+    ]
+    for poly in polys:
+        for off in (8, 40, 64):
+            if poly and poly.min_exponent() < -off:
+                continue
+            assert fock._poly(fock._code(poly, off), off) == poly, (poly, off)
+    terms = {((2, 1), ()): polys[3], ((), (1,)): polys[4], ((1,), (1, 1)): polys[2]}
+    assert dict(FockVector(terms).items()) == terms
+
+
+def test_a_coefficient_at_q_minus_40_inducts_right():
+    # q^-40 lies far below the default offset of the codes: induct gives the
+    # closed formula's terms, recoding the vector when a move would shift a
+    # digit out, and never a wrong number
+    recoded = 0
+    for lam in [((2, 1),), ((3, 1, 1),), ((2,), (1,)), ((1, 1), (2,))]:
+        kappa = (0,) * len(lam)
+        coeff = q_power(-40) + 3 * q_power(-38)
+        v = FockVector({lam: coeff})
+        for i in (0, 1):
+            for k in (1, 2):
+                expected = FockVector(
+                    (mu, c * coeff) for mu, c in divided_power(lam, kappa, i, k).items()
+                )
+                try:
+                    got = induct(v, kappa, i, k)
+                except fock.InternalConsistencyError:
+                    continue
+                assert got == expected, (lam, i, k)
+                recoded += got._off > v._off
+    assert recoded
+    # a product reaching below the offset recodes both vectors
+    w = FockVector({((2, 1),): q_power(-30), ((3,),): ONE})
+    u = FockVector({((2, 1),): Q, ((1, 1, 1),): q_power(-20)})
+    gamma = q_power(-25) + q_power(25)
+    assert u.sub_scaled(gamma, w) == FockVector(
+        {((2, 1),): Q - gamma * q_power(-30), ((3,),): -gamma, ((1, 1, 1),): q_power(-20)}
+    )
+
+
+def test_a_digit_past_the_guard_raises():
+    off = 8
+    for digit in (1 << 30, -(1 << 30), (1 << 31) + 5):
+        with pytest.raises(fock.InternalConsistencyError, match="guard"):
+            fock._poly(digit << 32 * (off + 3), off)
+    top = (1 << 30) - 1
+    assert fock._poly(top << 32 * off, off) == LaurentPoly({0: top})
+    v = FockVector.basis(((2, 1),))
+    (mask,) = v._terms
+    v._terms[mask] = (1 << 30) << 32 * v._off
+    with pytest.raises(fock.InternalConsistencyError, match="guard"):
+        v.coefficient(((2, 1),))
+    with pytest.raises(ValueError, match="2\\^30"):
+        FockVector({((1,),): LaurentPoly({0: 1 << 30})})
+
+
+def test_sums_that_could_pass_the_digit_guard_raise():
+    # a digit of 2^32 or more would carry into the next exponent and decode
+    # as a small wrong number: every sum that could reach 2^30 raises instead
+    big = LaurentPoly({0: 1 << 16})
+    with pytest.raises(fock.InternalConsistencyError, match="guard"):
+        FockVector({((1,),): ONE}).sub_scaled(big, FockVector({((1,),): big}))
+    # repeated shapes are summed as polynomials before they are coded
+    top = LaurentPoly({0: (1 << 30) - 1})
+    with pytest.raises(ValueError, match="2\\^30"):
+        FockVector([(((1,),), top)] * 5)
+    assert FockVector([(((1,),), top)] * 2 + [(((1,),), -top)] * 2) == FockVector()
+    # each shape below the staircase (4,3,2,1) reaches it by one 1-node, so
+    # F_1 adds four codes into one (shape, exponent)
+    below = [((3, 3, 2, 1),), ((4, 2, 2, 1),), ((4, 3, 1, 1),), ((4, 3, 2),)]
+    spread = LaurentPoly({e: 1 for e in range(21)})
+    c = (1 << 27) - 1
+    expected = FockVector(
+        (mu, coeff * spread * c) for lam in below for mu, coeff in divided_power(lam, K0, 1, 1).items()
+    )
+    got = induct(FockVector((lam, spread * c) for lam in below), K0, 1)
+    assert got == expected
+    assert got.coefficient(((4, 3, 2, 1),)).coefficient(0) == 4 * c
+    with pytest.raises(fock.InternalConsistencyError, match="guard"):
+        induct(FockVector((lam, spread * ((1 << 30) - 1)) for lam in below), K0, 1)
+
+
+def test_long_induction_chains_keep_exact_digit_bounds():
+    # the bound of each induct is the input's times its term count, so along
+    # F_1 F_0 ... F_0 of the empty shape it outgrows 2^30 and is replaced by
+    # the exact one: the chain is never refused and always right
+    v = exact = EMPTY
+    loose = 1
+    for t in range(18):
+        i = t % 2
+        loose *= len(v._terms)
+        v = induct(v, K0, i)
+        exact = FockVector(
+            (mu, c * coeff) for lam, c in exact.items() for mu, coeff in divided_power(lam, K0, i, 1).items()
+        )
+        assert v == exact, t
+        assert v._bound < 1 << 30
+    assert loose >= 1 << 30
+
+
+def test_restricted_partitions_are_the_filtered_partitions():
+    for d in range(31):
+        assert fock._restricted_partitions(d) == restricted_partitions(d), d
+
+
+def _unchecked_simples(matrix):
+    """The back-substitution of ``simple_qdims`` with no check of its results."""
+    simples = {}
+    for mu in reversed(matrix.cols):
+        total = qdim_specht(mu, K0)
+        for nu in matrix.cols:
+            if nu != mu and (mu, nu) in matrix.entries:
+                total = total - matrix.entries[mu, nu] * simples[nu]
+        simples[mu] = total
+    return simples
+
+
+@pytest.mark.parametrize("d, nonnegative", [(11, 1), (12, 2)])
+def test_simple_qdims_refuses_every_q_squared_mutant(d, nonnegative):
+    # each off-diagonal entry of a 2-restricted row multiplied by q^2 in turn:
+    # every mutant raises, including those whose solved dimensions have no
+    # negative coefficient, which only the bar-symmetry check refuses
+    matrix = decomposition_matrix(d)
+    cols = set(matrix.cols)
+    cells = [(lam, mu) for (lam, mu), e in matrix.entries.items() if lam in cols and lam != mu]
+    unnoticed = 0
+    for cell in cells:
+        entries = dict(matrix.entries)
+        entries[cell] = entries[cell] * q_power(2)
+        mutant = GradedDecompositionMatrix(matrix.rows, matrix.cols, entries)
+        with pytest.raises(fock.InternalConsistencyError):
+            simple_qdims(mutant)
+        simples = _unchecked_simples(mutant).values()
+        unnoticed += all(c >= 0 for poly in simples for _, c in poly.terms())
+    assert len(cells) == {11: 9, 12: 20}[d]
+    assert unnoticed == nonnegative
+
+
+def test_decomposition_matrix_fields_cannot_be_reassigned():
+    matrix = decomposition_matrix(4)
+    for name in ("rows", "cols", "entries"):
+        with pytest.raises(AttributeError, match="cannot assign"):
+            setattr(matrix, name, ())
+        with pytest.raises(AttributeError, match="cannot delete"):
+            delattr(matrix, name)
+    assert matrix.entry(((2, 1, 1),), ((2, 1, 1),)) == ONE

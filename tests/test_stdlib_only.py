@@ -40,13 +40,14 @@ print(json.dumps([sorted(qspecht.__all__), sorted(set(names) - {"__builtins__"})
 """
 
 # The names `qspecht` exported when its __init__ imported every module, less
-# the node-list helpers that moved to the test oracles, `partition_parity`, and
-# the listing wrappers, `pin_via_truncation` and `ParityElem` that no command ran.
+# the node-list helpers that moved to the test oracles, `partition_parity`, the
+# listing wrappers, `pin_via_truncation` and `ParityElem` that no command ran,
+# and `UndeterminedEntryError`, which no public call let escape.
 EXPORTS = [
     "AdjustmentEvidence", "FockVector", "GradedDecompositionMatrix",
     "InternalConsistencyError", "LaurentPoly", "Multicharge", "Multipartition", "Node", "ONE",
-    "Partition", "Q", "StandardTableau", "SweepReport", "UndeterminedEntryError",
-    "ZERO", "add_good_node", "adjusted_entry", "as_multicharge", "as_partition",
+    "Partition", "Q", "StandardTableau", "SweepReport", "ZERO",
+    "add_good_node", "adjusted_entry", "as_multicharge", "as_partition",
     "candidate_entries", "canonical_basis", "decomposition_matrix", "degree",
     "degree_contribution", "degree_parity", "evidence_report", "format_multipartition",
     "induct", "is_2_restricted", "multipartition_size", "multipartitions",
@@ -84,6 +85,25 @@ def test_each_command_loads_only_the_modules_it_runs():
     loaded = probe(FOOTPRINT, "qdim", "--lambda", "2,1|1", "--charge", "0,1")
     assert "qspecht.specht" in loaded and "json" not in loaded
     assert "qspecht.fock" not in loaded and "qspecht.adjustment" not in loaded
+
+
+# Runs `decomposition_matrix(6)` as a library call and prints the modules that
+# the call loaded.
+LIBRARY = """
+import json, sys
+before = set(sys.modules)
+import qspecht
+qspecht.decomposition_matrix(6)
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_a_library_decomposition_matrix_loads_only_its_modules():
+    # `dataclasses` (with `inspect`) cost about 11 ms of a session's import
+    loaded = probe(LIBRARY)
+    ours = [name for name in loaded if name.split(".")[0] == "qspecht"]
+    assert ours == ["qspecht", "qspecht.core", "qspecht.fock", "qspecht.laurent"]
+    assert "dataclasses" not in loaded and "inspect" not in loaded
 
 
 def test_the_package_exports_its_names_on_first_access():
@@ -126,9 +146,9 @@ def test_only_core_holds_context_variables_and_no_module_reads_anothers_private_
 
 
 def test_the_signature_has_three_readers_and_the_node_lists_live_in_the_oracles():
-    # `core.steps` serves the tableau search, the branching recursion and the
-    # Fock space; `degree_contribution` is the literal prefix recursion; the
-    # crystal summarises one component per residue
+    # `core.steps` serves the tableau search and the branching recursion (the
+    # Fock space reads bead masks); `degree_contribution` is the literal
+    # prefix recursion; the crystal summarises one component per residue
     readers = set()
     defined = set()
     for path in SOURCES:
