@@ -14,9 +14,9 @@ Conventions used throughout the package:
   shape: its callers (the tableau search and the branching recursion) add
   or remove the nodes they need.  :func:`degree_contribution` reads the
   count of one node of the diagram, for the literal prefix recursion of a
-  tableau's degree.  The Fock space reads the same rule from bead masks
-  (``fock._moves``), and its tests check it against the tuple form read
-  from :func:`steps`;
+  tableau's degree and the sweeps' row-filled degrees.  The Fock space
+  reads the same rule from bead masks (``fock._moves``), and its tests
+  check it against the tuple form read from :func:`steps`;
 * :func:`check_component_count` is the one shape/charge length check, and
   :func:`check_residues` the one check of a residue sequence against a
   shape;
@@ -246,20 +246,42 @@ def is_2_restricted(p: Partition) -> bool:
 
 
 def partitions(d: int) -> Iterator[Partition]:
-    """Partitions of ``d`` in reverse-lexicographic order: (d) first, (1^d) last."""
+    """Partitions of ``d`` in reverse-lexicographic order: (d) first, (1^d) last.
+
+    Each partition comes from the one before it by the successor rule ZS1 of
+    Zoghbi and Stojmenovic, "Fast algorithms for generating integer
+    partitions": the last part above 1 drops by one, and the 1s after it
+    are regrouped greedily into parts of its new size, the remainder last.
+    """
     if d < 0:
         raise ValueError("size must be nonnegative")
-    yield from _partitions(d, d)
-
-
-def _partitions(d: int, cap: int) -> Iterator[Partition]:
-    """Partitions of ``d`` with parts at most ``cap``, largest first part first."""
     if d == 0:
         yield ()
         return
-    for first in range(min(d, cap), 0, -1):
-        for rest in _partitions(d - first, first):
-            yield (first,) + rest
+    x = [1] * d
+    x[0] = d
+    m, h = 1, 0  # number of parts; index of the last part above 1
+    yield (d,)
+    while x[0] != 1:
+        if x[h] == 2:
+            x[h] = 1
+            m += 1
+            h -= 1
+        else:
+            r = x[h] - 1
+            t = m - h  # the 1 dropped from x[h] and the 1s after it
+            x[h] = r
+            while t >= r:
+                h += 1
+                x[h] = r
+                t -= r
+            m = h + 1
+            if t:
+                m += 1
+                if t > 1:
+                    h += 1
+                    x[h] = t
+        yield tuple(x[:m])
 
 
 def _compositions(d: int, length: int) -> Iterator[tuple[int, ...]]:

@@ -9,15 +9,22 @@ the signed node count d_A(lam) to the tableau's degree, so
 with qdim S(empty) = 1.  This is the degree of Brundan-Kleshchev-Wang,
 "Graded Specht modules", read off one entry at a time; the recursion reads
 each removable A with d_A(lam) from :func:`core.steps`, builds lam - A, and
-visits each subdiagram once instead of each tableau.
+visits each subdiagram once instead of each tableau.  It runs on an explicit
+stack, so a shape of any size is in reach.
 
 The counts are memoized by (charge, subdiagram) in ``qdim_memo``, a
 :class:`core.CallMemo` that the sweeps and :func:`fock.simple_qdims` hold.
+
+The sweeps also read the degree of each shape's row-filled tableau from
+:func:`core.degree_contribution`, the literal per-node count.  The last entry
+of that tableau sits at the last node A of the last nonempty row, and the
+entries before it form the row-filled tableau of lam - A, so a sweep reads
+one count per distinct prefix and keeps the degrees in a dict of its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .core import (
     REMOVABLE,
@@ -27,17 +34,33 @@ from .core import (
     Multipartition,
     check_residues,
     check_shape,
+    degree_contribution,
     degree_parity,
     format_multipartition,
     multipartitions,
     steps,
 )
 from .laurent import LaurentPoly
-from .tableaux import degree, row_filled_tableau
 
 # Degree counts {degree: number of tableaux}; state[kappa] maps shapes to them.
 Counts = dict[int, int]
 qdim_memo: CallMemo[dict[Multicharge, dict]] = CallMemo("qspecht_qdim_memo", dict)
+
+
+def _removals(
+    lam: Multipartition, kappa: Multicharge, residues: tuple[int, ...] | None
+) -> list[tuple[Multipartition, int]]:
+    """``(lam - A, d_A(lam))`` for each removable node A that the recursion
+    reads: every one, or with ``residues`` set those of residue
+    ``residues[-1]``."""
+    out = []
+    for i in RESIDUES if residues is None else residues[-1:]:
+        for (a, b, m), mark, shift in steps(lam, kappa, i):
+            if mark == REMOVABLE:
+                comp = lam[m - 1]
+                comp = comp[: a - 1] + (b - 1,) + comp[a:] if b > 1 else comp[: a - 1]
+                out.append((lam[: m - 1] + (comp,) + lam[m:], shift))
+    return out
 
 
 def _branch(
@@ -50,24 +73,34 @@ def _branch(
     recursion over its subdiagrams.  With ``residues`` set, only nodes of
     residue ``residues[-1]`` are removed at each step, which keeps the
     tableaux with that residue sequence; ``memo`` then holds one residue
-    prefix per size."""
-    found = memo.get(lam)
-    if found is not None:
-        return found
-    counts: Counts = {} if any(lam) else {0: 1}
-    rest = None if residues is None else residues[:-1]
-    for i in RESIDUES if residues is None else residues[-1:]:
-        for (a, b, m), mark, shift in steps(lam, kappa, i):
-            if mark != REMOVABLE:
-                continue
-            comp = lam[m - 1]
-            comp = comp[: a - 1] + (b - 1,) + comp[a:] if b > 1 else comp[: a - 1]
-            sub = _branch(lam[: m - 1] + (comp,) + lam[m:], kappa, memo, rest)
-            if sub:
-                for deg, count in sub.items():
+    prefix per size.
+
+    Each stack frame holds a shape, the residue prefix of its subdiagrams,
+    its removals and the iterator that walks them; a shape is counted once
+    all its subdiagrams are, so ``memo`` fills in the order of a recursion.
+    """
+    stack: list = []
+
+    def push(mu: Multipartition, seq: tuple[int, ...] | None) -> None:
+        subs = _removals(mu, kappa, seq)
+        stack.append((mu, None if seq is None else seq[:-1], subs, iter(subs)))
+
+    if lam not in memo:
+        push(lam, residues)
+    while stack:
+        mu, rest, subs, pending = stack[-1]
+        for sub, _ in pending:
+            if sub not in memo:
+                push(sub, rest)
+                break
+        else:
+            stack.pop()
+            counts: Counts = {} if any(mu) else {0: 1}
+            for sub, shift in subs:
+                for deg, count in memo[sub].items():
                     counts[deg + shift] = counts.get(deg + shift, 0) + count
-    memo[lam] = counts
-    return counts
+            memo[mu] = counts
+    return memo[lam]
 
 
 def qdim_specht(lam: Multipartition, kappa: Multicharge) -> LaurentPoly:
@@ -102,15 +135,14 @@ def qdim_hecke(d: int, kappa: Multicharge) -> LaurentPoly:
     return total
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(NamedTuple):
     """Outcome of an exhaustive check; directly assertable in tests."""
 
     check: str
     parameters: dict[str, object]
     checked: int
     violations: tuple[str, ...]
-    notes: tuple[str, ...] = field(default=())
+    notes: tuple[str, ...] = ()
 
     @property
     def ok(self) -> bool:
@@ -127,21 +159,49 @@ class SweepReport:
         }
 
 
-def _parity_violation(lam: Multipartition, kappa: Multicharge) -> str | None:
+def _row_filled_degree(
+    lam: Multipartition, kappa: Multicharge, memo: dict[Multipartition, int]
+) -> int:
+    """Degree of the row-filled tableau of ``lam``: the count of its last
+    node A in lam, plus the degree of the row-filled tableau of lam - A.
+    The walk steps down this prefix chain to a shape in ``memo`` (or the
+    empty shape, of degree 0), then stores each degree on the way back up,
+    so each prefix is read once per memo."""
+    chain = []
+    while lam not in memo and any(lam):
+        m = len(lam)
+        while not lam[m - 1]:
+            m -= 1
+        comp = lam[m - 1]
+        chain.append((lam, (len(comp), comp[-1], m)))
+        comp = comp[:-1] + (comp[-1] - 1,) if comp[-1] > 1 else comp[:-1]
+        lam = lam[: m - 1] + (comp,) + lam[m:]
+    deg = memo.get(lam, 0)
+    for mu, node in reversed(chain):
+        deg += degree_contribution(mu, kappa, node)
+        memo[mu] = deg
+    return deg
+
+
+def _parity_violation(
+    lam: Multipartition, kappa: Multicharge, row_degrees: dict[Multipartition, int]
+) -> str | None:
     """The qdim must be pure of the shape's parity and count the row-filled
     tableau at its degree, which ties :func:`core.steps` to the per-node degree."""
     qdim = qdim_specht(lam, kappa)
     parity = degree_parity(lam, kappa)
     if not qdim.is_pure_parity(parity):
         return f"{format_multipartition(lam)}: qdim {qdim} not pure of parity {parity}"
-    deg = degree(row_filled_tableau(lam), kappa)
+    deg = _row_filled_degree(lam, kappa, row_degrees)
     if qdim.coefficient(deg) <= 0:
         return f"{format_multipartition(lam)}: qdim {qdim} misses row-filled degree {deg}"
     return None
 
 
-def _row_degree_violation(lam: Multipartition, kappa: Multicharge) -> str | None:
-    deg = degree(row_filled_tableau(lam), kappa)
+def _row_degree_violation(
+    lam: Multipartition, kappa: Multicharge, row_degrees: dict[Multipartition, int]
+) -> str | None:
+    deg = _row_filled_degree(lam, kappa, row_degrees)
     parity = degree_parity(lam, kappa)
     if deg % 2 != parity:
         return f"{format_multipartition(lam)}: row-filled degree {deg} vs parity {parity}"
@@ -149,9 +209,12 @@ def _row_degree_violation(lam: Multipartition, kappa: Multicharge) -> str | None
 
 
 def _sweep(check: str, checker, d: int, kappa: Multicharge) -> SweepReport:
+    """Run ``checker`` on every shape of size d; the shapes share one
+    graded-dimension memo and one dict of row-filled degrees."""
     shapes = list(multipartitions(d, len(kappa)))
+    row_degrees: dict[Multipartition, int] = {}
     with qdim_memo.held():
-        results = [checker(lam, kappa) for lam in shapes]
+        results = [checker(lam, kappa, row_degrees) for lam in shapes]
     return SweepReport(
         check=check,
         parameters={"d": d, "charge": list(kappa)},

@@ -5,9 +5,12 @@ A standard tableau is stored through its placement sequence: entry r sits in
 multipartition.  Enumeration grows tableaux one entry at a time from the
 addable nodes that :func:`core.steps` lists, tried in below-order, which fixes
 a stable deterministic order, and adds each node's signed count in the grown
-shape to the degree.  :func:`degree` keeps the literal prefix recursion
-through :func:`core.degree_contribution`, the definition the search is
-tested against.
+shape to the degree; it runs on an explicit stack, one frame per entry, so a
+tableau of any size is in reach.  :func:`degree` keeps the literal prefix
+recursion through :func:`core.degree_contribution`, the definition the
+search and the sweeps' row-filled walk are tested against.  The module
+serves the ``tableaux`` listings and :mod:`qspecht.adjustment`; no graded
+dimension or sweep loads it.
 """
 
 from __future__ import annotations
@@ -101,29 +104,45 @@ def _search(
     :mod:`qspecht.specht`, which never visits individual tableaux.
     """
     d = multipartition_size(lam)
-    places: list[Node] = []
+    if d == 0:
+        yield (), 0
+        return
     moves_of: dict[Multipartition, list[tuple[int, int, int, int]]] = {}
 
-    def grow(mu: Multipartition, degree: int) -> Iterator[tuple[tuple[Node, ...], int]]:
-        r = len(places)
-        if r == d:
-            yield tuple(places), degree
-            return
-        moves = moves_of.get(mu)
-        if moves is None:
-            moves = moves_of[mu] = sorted(
+    def moves(mu: Multipartition, r: int) -> Iterator[tuple[int, int, int, int]]:
+        """The moves from ``mu``, a diagram of ``r`` nodes."""
+        found = moves_of.get(mu)
+        if found is None:
+            found = moves_of[mu] = sorted(
                 (m, a, b, count)
                 for i in (RESIDUES if target is None else target[r : r + 1])
                 for (a, b, m), mark, count in steps(mu, kappa, i)
                 if mark == ADDABLE and a <= len(lam[m - 1]) and b <= lam[m - 1][a - 1]
             )
-        for m, a, b, count in moves:
-            comp = mu[m - 1][: a - 1] + (b,) + mu[m - 1][a:]
-            places.append((a, b, m))
-            yield from grow(mu[: m - 1] + (comp,) + mu[m:], degree + count)
-            places.pop()
+        return iter(found)
 
-    yield from grow(empty_multipartition(len(lam)), 0)
+    # places[r] is the node of entry r + 1; stack[r] holds the diagram of the
+    # first r entries, their degree and the moves from it still to try
+    places: list[Node] = []
+    root = empty_multipartition(len(lam))
+    stack = [(root, 0, moves(root, 0))]
+    while stack:
+        mu, degree, pending = stack[-1]
+        step = next(pending, None)
+        if step is None:
+            stack.pop()
+            if places:
+                places.pop()
+            continue
+        m, a, b, count = step
+        places.append((a, b, m))
+        if len(places) == d:
+            yield tuple(places), degree + count
+            places.pop()
+            continue
+        comp = mu[m - 1][: a - 1] + (b,) + mu[m - 1][a:]
+        grown = mu[: m - 1] + (comp,) + mu[m:]
+        stack.append((grown, degree + count, moves(grown, len(places))))
 
 
 def standard_tableaux_with_degrees(

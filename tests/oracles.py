@@ -422,3 +422,14 @@ def tableau_truncations(lam, kappa):
 
     walk(empty_multipartition(len(lam)), (), 0)
     return {seq: LaurentPoly(by_degree) for seq, by_degree in counts.items()}
+
+
+def recursive_partitions(d, cap=None):
+    """Partitions of ``d`` with parts at most ``cap`` (default ``d``), by the
+    recursion on the first part, largest first part first."""
+    if d == 0:
+        yield ()
+        return
+    for first in range(d if cap is None else min(d, cap), 0, -1):
+        for rest in recursive_partitions(d - first, first):
+            yield (first,) + rest

@@ -348,6 +348,23 @@ def test_a_value_error_while_truncating_is_not_a_usage_error(monkeypatch):
         main(["truncate", "--lambda", "2,1", "--charge", "0", "--residues", "0,1,0"])
 
 
+def test_a_shape_deeper_than_the_recursion_limit_runs(capsys):
+    # 1,200 entries is deeper than Python's default limit of 1,000 frames
+    row = "1200"
+    alternating = ",".join(str(r % 2) for r in range(1200))
+    assert main(["qdim", "--lambda", row]) == 0
+    assert capsys.readouterr() == ("q^600\n", "")
+    assert main(["truncate", "--lambda", row, "--residues", alternating]) == 0
+    assert capsys.readouterr() == ("q^600\n", "")
+    assert main(["tableaux", "--lambda", row]) == 0
+    out, err = capsys.readouterr()
+    assert not err
+    assert out.splitlines() == [
+        "count: 1",
+        f"{','.join(map(str, range(1, 1201)))}  degree=600  residues={alternating}",
+    ]
+
+
 def test_byte_identical_reruns(capsys):
     first = run(capsys, "llt", "--d", "5", "--format", "json")
     second = run(capsys, "llt", "--d", "5", "--format", "json")

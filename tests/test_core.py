@@ -34,6 +34,7 @@ from oracles import (
     is_below,
     node_signature,
     partition_count,
+    recursive_partitions,
     residue_of,
     with_node_removed,
 )
@@ -286,6 +287,14 @@ def test_partitions_reverse_lexicographic():
 def test_partition_counts_match_pentagonal_recurrence():
     for d in range(15):
         assert sum(1 for _ in partitions(d)) == partition_count(d)
+
+
+def test_the_successor_rule_lists_the_recursive_order():
+    for d in range(31):
+        assert list(partitions(d)) == list(recursive_partitions(d)), d
+    assert len(list(recursive_partitions(30))) == partition_count(30) == 5604
+    with pytest.raises(ValueError, match="size must be nonnegative"):
+        next(partitions(-1))
 
 
 def test_multipartitions_examples():

@@ -1,15 +1,18 @@
+import ast
 import contextlib
 import importlib
+import inspect
 import io
 import pkgutil
 import sys
+import textwrap
 from itertools import product
 from math import factorial
 
 import pytest
 
 import qspecht
-from qspecht import specht
+from qspecht import specht, tableaux
 from qspecht.cli import main
 from qspecht.core import (
     CallMemo,
@@ -24,6 +27,7 @@ from qspecht.crystal import add_good_node
 from qspecht.fock import decomposition_matrix, simple_qdims
 from qspecht.laurent import LaurentPoly, ONE, Q, ZERO, q_power
 from qspecht.specht import (
+    SweepReport,
     qdim_hecke,
     qdim_specht,
     qdim_truncation,
@@ -31,8 +35,13 @@ from qspecht.specht import (
     verify_row_degree_parity,
     verify_specht_parity,
 )
-from qspecht.tableaux import standard_tableaux_with_degrees
-from oracles import hook_length_count, literal_truncations, tableau_truncations
+from qspecht.tableaux import degree, row_filled_tableau, standard_tableaux_with_degrees
+from oracles import (
+    hook_length_count,
+    literal_truncations,
+    partition_count,
+    tableau_truncations,
+)
 
 K0 = (0,)
 
@@ -284,3 +293,83 @@ def test_report_is_json_serialisable():
     report = verify_specht_parity(3, K0)
     blob = json.dumps(report.to_json())
     assert '"ok": true' in blob
+
+
+@pytest.mark.parametrize("level, max_d", [(1, 10), (2, 7), (3, 5)])
+def test_the_row_filled_walk_matches_the_literal_degree(level, max_d):
+    """The sweep's walk over row-filled prefixes against the literal prefix
+    recursion of :func:`tableaux.degree`; one memo per charge serves every
+    size, as it would serve every shape of one sweep."""
+    for kappa in product((0, 1), repeat=level):
+        memo = {}
+        for d in range(max_d + 1):
+            for lam in multipartitions(d, level):
+                expected = degree(row_filled_tableau(lam), kappa)
+                assert specht._row_filled_degree(lam, kappa, memo) == expected, (lam, kappa)
+                assert specht._row_filled_degree(lam, kappa, {}) == expected, (lam, kappa)
+
+
+def test_a_sweep_reads_each_row_filled_prefix_once(monkeypatch):
+    calls = []
+
+    def counted(lam, kappa, node):
+        calls.append(lam)
+        return degree_contribution(lam, kappa, node)
+
+    bound = [
+        module
+        for name, module in sorted(sys.modules.items())
+        if name.split(".")[0] == "qspecht"
+        and getattr(module, "degree_contribution", None) is degree_contribution
+    ]
+    assert specht in bound
+    for module in bound:
+        monkeypatch.setattr(module, "degree_contribution", counted)
+    assert verify_row_degree_parity(20, K0).ok
+    # every nonempty partition of size at most 20 is a row-filled prefix of
+    # a partition of 20, and each is read once
+    assert len(calls) == len(set(calls)) == sum(map(partition_count, range(1, 21))) == 2713
+
+
+def test_the_walks_run_without_recursion():
+    # a 1,200-node row is deeper than Python's default recursion limit
+    assert specht._row_filled_degree(((1200,),), K0, {}) == 600
+    for fn in (specht._branch, specht._row_filled_degree, tableaux._search):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+        for scope in ast.walk(tree):
+            if isinstance(scope, ast.FunctionDef):
+                called = {n.func.id for n in ast.walk(scope)
+                          if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+                assert scope.name not in called, (fn.__name__, scope.name)
+
+
+def test_a_sweep_report_is_an_immutable_value():
+    report = verify_specht_parity(3, (0, 1))
+    with pytest.raises(AttributeError):
+        report.checked = 0
+    same = SweepReport(
+        check="specht-parity",
+        parameters={"d": 3, "charge": [0, 1]},
+        checked=10,
+        violations=(),
+    )
+    assert report == same
+    assert report.notes == () and report.ok
+    assert report.to_json() == {
+        "check": "specht-parity",
+        "parameters": {"d": 3, "charge": [0, 1]},
+        "checked": 10,
+        "violations": [],
+        "notes": [],
+        "ok": True,
+    }
+    failed = SweepReport("row-degree-parity", {"d": 1}, 1, ("x",), ("n",))
+    assert not failed.ok
+    assert failed.to_json() == {
+        "check": "row-degree-parity",
+        "parameters": {"d": 1},
+        "checked": 1,
+        "violations": ["x"],
+        "notes": ["n"],
+        "ok": False,
+    }

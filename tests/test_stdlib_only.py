@@ -19,13 +19,15 @@ print(json.dumps(sorted({name.partition(".")[0] for name in set(sys.modules) - b
 
 
 # Runs one CLI command with its output discarded, and prints the qspecht
-# modules that were loaded, and the json modules if the command loaded any.
+# modules that were loaded, and the json, dataclasses and inspect modules if
+# the command loaded any.
 FOOTPRINT = """
 import contextlib, io, sys
 from qspecht.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     assert main(sys.argv[1:]) == 0
-loaded = sorted(name for name in sys.modules if name.split(".")[0] in ("qspecht", "json"))
+watched = ("qspecht", "json", "dataclasses", "inspect")
+loaded = sorted(name for name in sys.modules if name.split(".")[0] in watched)
 import json
 print(json.dumps(loaded))
 """
@@ -85,6 +87,13 @@ def test_each_command_loads_only_the_modules_it_runs():
     loaded = probe(FOOTPRINT, "qdim", "--lambda", "2,1|1", "--charge", "0,1")
     assert "qspecht.specht" in loaded and "json" not in loaded
     assert "qspecht.fock" not in loaded and "qspecht.adjustment" not in loaded
+    # `dataclasses` with `inspect` cost 7-11 ms of a process's start, and the
+    # sweeps read row-filled degrees without the tableau module
+    unneeded = {"dataclasses", "inspect", "qspecht.tableaux"}
+    assert not unneeded & set(loaded)
+    for argv in (("verify", "parity", "--d", "4", "--charge", "0,1"), ("llt", "--d", "4")):
+        loaded = probe(FOOTPRINT, *argv)
+        assert "qspecht.specht" in loaded and not unneeded & set(loaded), argv
 
 
 # Runs `decomposition_matrix(6)` as a library call and prints the modules that
