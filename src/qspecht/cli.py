@@ -25,6 +25,10 @@ from .core import (
     parse_multipartition,
     parse_residues,
 )
+# Imported at module level on purpose: the traced replay of the benchmark
+# (perfbench/replay.py) finds `sys.modules["qspecht.crystal"]` loaded, wraps
+# `restricted_multipartitions` at this binding for its span, and counts the
+# closure's calls of `crystal.add_good_node` as `crystal.add_good_calls`.
 from .crystal import restricted_multipartitions
 
 
@@ -168,10 +172,18 @@ def _cmd_verify(args) -> int:
 def _cmd_restricted(args) -> int:
     charge = _parse_charge(args)
     _check_nonnegative(args.d, "--d")
-    found = sorted(restricted_multipartitions(args.d, charge))
+    # listed by prefix (every component but the last): the sorted prefixes,
+    # each followed by its sorted last components, are the sorted set
+    groups: dict = {}
+    for lam in restricted_multipartitions(args.d, charge):
+        groups.setdefault(lam[:-1], []).append(lam[-1])
     # each distinct component is formatted once, as a shape of one component
-    text = {comp: format_multipartition((comp,)) for comp in set().union(*found)}
-    names = ["|".join([text[comp] for comp in lam]) for lam in found]
+    comps = set().union(*groups, *groups.values())
+    text = {comp: format_multipartition((comp,)) for comp in comps}
+    names = []
+    for prefix in sorted(groups):
+        head = "".join([text[comp] + "|" for comp in prefix])
+        names += [head + text[comp] for comp in sorted(groups[prefix])]
     payload = {"d": args.d, "charge": list(charge), "restricted": names}
     _emit(payload, [f"count: {len(names)}"] + names, args.format)
     return 0

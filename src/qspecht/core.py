@@ -8,12 +8,15 @@ Conventions used throughout the package:
   agree and its row is larger;
 * the i-signature lists the addable and removable i-nodes in below-order
   (first component's top row first), so signed counts are reproducible;
-* :func:`signature` is the one node kernel on tuple shapes: it alone
-  decides which cells of a tuple are addable or removable i-nodes.
-  :func:`steps` gives each i-node with its signed count and builds no
-  shape: its callers (the tableau search and the branching recursion) add
-  or remove the nodes they need.  :func:`degree_contribution` reads the
-  count of one node of the diagram, for the literal prefix recursion of a
+* :func:`signatures` is the one node kernel on tuple shapes: it alone
+  decides which cells of a tuple are addable or removable i-nodes, for
+  both residues in one pass over the runs of equal parts.  :func:`steps`
+  gives each node of both signatures with its signed count and builds no
+  shape: its callers (the tableau search and the branching recursion) take
+  the residues they need and add or remove the nodes.  The crystal reduces
+  both signatures of one component from one call.
+  :func:`degree_contribution` reads the count of one node of the diagram
+  from the signature of its residue, for the literal prefix recursion of a
   tableau's degree and the sweeps' row-filled degrees.  The Fock space
   reads the same rule from bead masks (``fock._moves``), and its tests
   check it against the tuple form read from :func:`steps`;
@@ -28,9 +31,11 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager
 from contextvars import ContextVar
+from operator import neg
 from typing import Generic, TypeVar
 
 Partition = tuple[int, ...]
@@ -126,30 +131,32 @@ def young_nodes(lam: Multipartition) -> Iterator[Node]:
                 yield (a, b, m)
 
 
-def signature(lam: Multipartition, kappa: Multicharge, i: int) -> list[tuple[Node, str]]:
-    """Addable ('+') and removable ('-') i-nodes of the diagram, in below-order,
-    from one pass over the rows.
+def signatures(lam: Multipartition, kappa: Multicharge) -> tuple[list, list]:
+    """The 0- and 1-signatures: addable ('+') and removable ('-') nodes of
+    each residue, in below-order, from one pass over the runs of equal parts.
 
-    The end cell of a row and the cell after it have different residues, so
-    each row contributes at most one node, and an addable and a removable
-    i-node never share a row.  A row whose end cell is not of residue i
-    yields its addable node, so ``i`` must be a residue.
+    A run of part p in rows a..z can only add (a, p+1) and remove (z, p), and
+    the last row of a component adds (len + 1, 1).  Two cells of one row
+    have different residues, so no row holds two nodes of one signature.
+    A run's end is found by its next row, or by bisection when the run is
+    longer, so a component costs O(runs log rows).  The charges may be any
+    integers; only their parity counts.
     """
-    if i not in RESIDUES:
-        raise ValueError(f"residues must be 0 or 1, got {i!r}")
     check_component_count(lam, kappa)
-    out = []
+    out: tuple[list, list] = ([], [])
     for m, comp in enumerate(lam, start=1):
         k = kappa[m - 1]
         last = len(comp)
-        for a, part in enumerate(comp, start=1):
-            if (k + part - a) % 2 == i:
-                if a == last or comp[a] < part:
-                    out.append(((a, part, m), REMOVABLE))
-            elif a == 1 or comp[a - 2] > part:
-                out.append(((a, part + 1, m), ADDABLE))
-        if (k - last) % 2 == i:
-            out.append(((last + 1, 1, m), ADDABLE))
+        a = 0  # the rows above the run
+        while a < last:
+            p = comp[a]
+            z = a + 1  # the run's last row
+            if z < last and comp[z] == p:
+                z = bisect_right(comp, -p, z + 1, last, key=neg)
+            out[(k + p - a) % 2].append(((a + 1, p + 1, m), ADDABLE))
+            out[(k + p - z) % 2].append(((z, p, m), REMOVABLE))
+            a = z
+        out[(k - last) % 2].append(((last + 1, 1, m), ADDABLE))
     return out
 
 
@@ -184,24 +191,26 @@ def degree_contribution(lam: Multipartition, kappa: Multicharge, node: Node) -> 
         raise ValueError(f"node {node!r} is not in the diagram of {lam!r}")
     i = (kappa[m0 - 1] + b0 - a0) % 2
     count = 0
-    for (a, _, m), mark in signature(lam[m0 - 1 :], kappa[m0 - 1 :], i):
+    for (a, _, m), mark in signatures(lam[m0 - 1 :], kappa[m0 - 1 :])[i]:
         if m > 1 or a > a0:
             count += 1 if mark == ADDABLE else -1
     return count
 
 
-def steps(lam: Multipartition, kappa: Multicharge, i: int) -> list[tuple[Node, str, int]]:
-    """``(node, mark, count)`` for each i-node of the signature, lowest first:
-    for an addable node A the signed count of A in lam+A, for a removable
-    one the count of A in lam.  No row holds two signature nodes, and
-    adding A changes only nodes of the other residue, so either count is the
-    '+' minus the '-' strictly after A in the i-signature of lam.
+def steps(lam: Multipartition, kappa: Multicharge) -> tuple[list, list]:
+    """For residues 0 and 1, ``(node, mark, count)`` for each node of the
+    signature, lowest first: for an addable node A the signed count of A in
+    lam+A, for a removable one the count of A in lam.  No row holds two
+    signature nodes, and adding A changes only nodes of the other residue,
+    so either count is the '+' minus the '-' strictly after A in the
+    signature of lam.
     """
-    out = []
-    count = 0
-    for node, mark in reversed(signature(lam, kappa, i)):
-        out.append((node, mark, count))
-        count += 1 if mark == ADDABLE else -1
+    out: tuple[list, list] = ([], [])
+    for sig, into in zip(signatures(lam, kappa), out):
+        count = 0
+        for node, mark in reversed(sig):
+            into.append((node, mark, count))
+            count += 1 if mark == ADDABLE else -1
     return out
 
 

@@ -11,19 +11,21 @@ reachable from the empty one are exactly the 2-restricted partitions; the
 test suite pins the convention against that characterisation for d <= 10.
 
 The cancellation is associative, and what survives of any stretch of the
-signature has the form +^A -^B.  So each component is summarised, once per
-residue, by its A, its B and its lowest surviving '+'.  The summaries are
-memoized by (charge mod 2, component) in ``summary_memo``, a
-:class:`core.CallMemo` that :func:`restricted_multipartitions` holds.  One
-rule, :func:`_pending`, reads them: the good node lies in the last component
-whose A exceeds the B that the components before it leave pending.
+signature has the form +^A -^B.  So each component is summarised by its A,
+its B and its lowest surviving '+' for both residues, from one call of the
+node kernel :func:`core.signatures`.  The components are interned per charge
+parity as small ints in ``summary_memo``, a :class:`core.CallMemo` that
+:func:`restricted_multipartitions` holds, one summary per index, made on
+first read.  One rule, :func:`_pending`, reads them, for both residues in one
+walk: the good node lies in the last component whose A exceeds the B that the
+components before it leave pending.
 
 The closure moves groups, not multipartitions.  A layer maps each prefix
-(every component but the last) to the set of last components that follow it.
-For each group and residue the prefix's pending B is folded once: a member
-whose last component's A exceeds it gains that component's good node, and
-every other member gains the same node of the prefix, which
-:func:`add_good_node` reads from one of them, or none.
+(every component but the last) to the set of indices of the last components
+that follow it.  For each group the prefix's pending B of both residues is
+read once: a member whose last component's A exceeds it gains that
+component's good node, and every other member gains the same node of the
+prefix, which :func:`add_good_node` reads from one of them, or none.
 """
 
 from __future__ import annotations
@@ -40,54 +42,87 @@ from .core import (
     as_partition,
     check_component_count,
     empty_multipartition,
-    signature,
+    signatures,
 )
 
-# (A, B, grown) for one residue: the component's surviving word is +^A -^B,
-# and grown is the component with its lowest surviving '+' added, or None
-# when A = 0.
-Summary = tuple[int, int, Partition | None]
-# state[k] maps each component of charge k (mod 2) to its summaries for
-# residues 0 and 1.
-summary_memo: CallMemo[tuple] = CallMemo("qspecht_crystal_summaries", lambda: ({}, {}))
+
+class _Interned:
+    """The components of one charge parity that a call has met, each
+    interned as an index: ``ids`` maps a component to its index, ``comps``
+    lists the components by index, and ``summaries`` their summaries, each
+    made on first read (None until then).
+
+    A summary is (A0, B0, grown0, A1, B1, grown1): for residue i the
+    component's surviving word is +^Ai -^Bi, and growni is the index of the
+    component with its lowest surviving '+' added, or None when Ai = 0.
+    """
+
+    __slots__ = ("ids", "comps", "summaries", "k")
+
+    def __init__(self, k: int):
+        self.ids: dict[Partition, int] = {}
+        self.comps: list[Partition] = []
+        self.summaries: list[tuple | None] = []
+        self.k = k
+
+    def index(self, comp: Partition) -> int:
+        at = self.ids.get(comp)
+        if at is None:
+            at = self.ids[comp] = len(self.comps)
+            self.comps.append(comp)
+            self.summaries.append(None)
+        return at
+
+    def summary(self, at: int) -> tuple:
+        """The summary of the component at index ``at``, from one kernel
+        call for both residues."""
+        got = self.summaries[at]
+        if got is None:
+            comp = self.comps[at]
+            got = ()
+            for sig in signatures((comp,), (self.k,)):
+                A = B = 0
+                good = None
+                for node, mark in sig:
+                    if mark != ADDABLE:
+                        B += 1
+                    elif B:
+                        B -= 1
+                    else:
+                        A, good = A + 1, node
+                if good is not None:
+                    # an addable node (a, b) ends row a, or opens row len(comp) + 1
+                    a, b, _ = good
+                    good = self.index(comp[: a - 1] + (b,) + comp[a:])
+                got += (A, B, good)
+            self.summaries[at] = got
+        return got
 
 
-def _summary(comp: Partition, k: int, i: int) -> Summary:
-    """Reduce the i-signature of one component of charge k."""
-    A = B = 0
-    grown = None
-    for (a, b, _), mark in signature((comp,), (k,), i):
-        if mark != ADDABLE:
-            B += 1
-        elif B:
-            B -= 1
-        else:
-            # an addable node (a, b) ends row a, or opens row len(comp) + 1
-            A, grown = A + 1, comp[: a - 1] + (b,) + comp[a:]
-    return A, B, grown
+# state[k] interns the components of charge k (mod 2).
+summary_memo: CallMemo[tuple[_Interned, _Interned]] = CallMemo(
+    "qspecht_crystal_summaries", lambda: (_Interned(0), _Interned(1))
+)
 
 
-def _summaries(memo: tuple, comp: Partition, k: int) -> tuple[Summary, Summary]:
-    """The summaries of comp at charge k for residues 0 and 1, from the memo."""
-    pair = memo[k].get(comp)
-    if pair is None:
-        pair = memo[k][comp] = tuple(_summary(comp, k, r) for r in RESIDUES)
-    return pair
-
-
-def _pending(memo: tuple, lam: Multipartition, kappa: Multicharge, i: int) -> tuple:
-    """The B that the components of lam leave pending for residue i, and the
-    index and grown component of its good i-node (None when there is none)."""
-    pending = 0
-    good = None
+def _pending(memo: tuple, lam: Multipartition, kappa: Multicharge) -> tuple:
+    """For residues 0 and 1, in one walk: the B that the components of lam
+    leave pending, and the index and grown component of the good node (None
+    when there is none)."""
+    p0 = p1 = 0
+    good0 = good1 = None
     for m, comp in enumerate(lam):
-        A, B, grown = _summaries(memo, comp, kappa[m] % 2)[i]
-        if A > pending:
-            good = m, grown
-            pending = B
+        table = memo[kappa[m] % 2]
+        A0, B0, g0, A1, B1, g1 = table.summary(table.index(comp))
+        if A0 > p0:
+            good0, p0 = (m, table.comps[g0]), B0
         else:
-            pending += B - A
-    return pending, good
+            p0 += B0 - A0
+        if A1 > p1:
+            good1, p1 = (m, table.comps[g1]), B1
+        else:
+            p1 += B1 - A1
+    return (p0, good0), (p1, good1)
 
 
 def add_good_node(
@@ -99,9 +134,9 @@ def add_good_node(
     check_component_count(lam, kappa)
     memo = summary_memo.get()
     for m, comp in enumerate(lam):
-        if comp not in memo[kappa[m] % 2]:
+        if comp not in memo[kappa[m] % 2].ids:
             as_partition(comp)  # once per component the memo holds
-    _, good = _pending(memo, lam, kappa, i)
+    _, good = _pending(memo, lam, kappa)[i]
     if good is None:
         return None
     at, grown = good
@@ -116,30 +151,33 @@ def restricted_multipartitions(d: int, kappa: Multicharge) -> set[Multipartition
     if not kappa:
         raise ValueError("a multicharge needs at least one component")
     empty = empty_multipartition(len(kappa))
-    # prefix (every component but the last) -> the last components after it
-    layer: dict[Multipartition, set[Partition]] = {empty[:-1]: {empty[-1]}}
-    k = kappa[-1] % 2
     with summary_memo.held() as memo:
-        table = memo[k]
+        table = memo[kappa[-1] % 2]
+        comps, summaries = table.comps, table.summaries
+        # prefix (every component but the last) -> the indices of the last
+        # components after it
+        layer: dict[Multipartition, set[int]] = {empty[:-1]: {table.index(empty[-1])}}
         for _ in range(d):
             grown = defaultdict(set)
             for prefix, lasts in layer.items():
-                p0, p1 = (_pending(memo, prefix, kappa, i)[0] for i in RESIDUES)
+                (p0, _), (p1, _) = _pending(memo, prefix, kappa)
                 same, rest0, rest1 = grown[prefix], [], []
-                for comp in lasts:  # residues 0 and 1 unrolled: this loop is the hot one
-                    (a0, _, g0), (a1, _, g1) = table.get(comp) or _summaries(memo, comp, k)
+                for c in lasts:  # residues 0 and 1 unrolled: this loop is the hot one
+                    a0, _, g0, a1, _, g1 = summaries[c] or table.summary(c)
                     if a0 > p0:
                         same.add(g0)
                     else:
-                        rest0.append(comp)
+                        rest0.append(c)
                     if a1 > p1:
                         same.add(g1)
                     else:
-                        rest1.append(comp)
+                        rest1.append(c)
                 for i, rest in zip(RESIDUES, (rest0, rest1)):
-                    # the good node of every other member lies in the prefix
-                    moved = rest and add_good_node(prefix + (rest[0],), kappa, i)
+                    # the good node of every other member lies in the prefix; the
+                    # call goes through the public add_good_node, whose calls the
+                    # benchmark's traced replay counts (crystal.add_good_calls)
+                    moved = rest and add_good_node(prefix + (comps[rest[0]],), kappa, i)
                     if moved:
                         grown[moved[:-1]].update(rest)
             layer = grown
-    return {prefix + (comp,) for prefix, lasts in layer.items() for comp in lasts}
+        return {prefix + (comps[c],) for prefix, lasts in layer.items() for c in lasts}

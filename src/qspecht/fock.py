@@ -150,7 +150,9 @@ def _top_word(x: int) -> int:
 
 class _Beads:
     """The bead masks of the level-``level`` multipartitions of size at most
-    ``cap``, as laid out in the module docstring."""
+    ``cap``, as laid out in the module docstring.  Two layouts of one level
+    and capacity are equal, and hash alike, so the memos of ``move_memo``
+    serve every copy, and no layout outlives the vectors that hold it."""
 
     __slots__ = ("level", "cap", "beads", "width", "empty", "_masks")
 
@@ -160,6 +162,14 @@ class _Beads:
         self.width = w = n + cap + 1
         self.empty = sum(((1 << n) - 1) << m * w for m in range(level))
         self._masks: dict[tuple[Multicharge, int], tuple[int, int]] = {}
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, _Beads):
+            return NotImplemented
+        return self.level == other.level and self.cap == other.cap
+
+    def __hash__(self) -> int:
+        return hash((self.level, self.cap))
 
     def code(self, mu: Multipartition) -> int:
         """The mask of ``mu``, which must have this level and size at most
@@ -232,18 +242,10 @@ def _moves(x: int, add: int, rem: int, k: int) -> list[tuple[int, int]]:
     return out
 
 
-# One layout per level and capacity, the capacities being powers of two.
-_LAYOUTS: dict[tuple[int, int], _Beads] = {}
-
-
 def _layout(level: int, size: int) -> _Beads:
     """The layout of ``level`` whose capacity is the least power of two that
     is at least ``size`` and 8."""
-    key = (level, max(8, 1 << (size - 1).bit_length()))
-    beads = _LAYOUTS.get(key)
-    if beads is None:
-        beads = _LAYOUTS[key] = _Beads(*key)
-    return beads
+    return _Beads(level, max(8, 1 << (size - 1).bit_length()))
 
 
 def _key(mu: Multipartition) -> Multipartition:
@@ -302,7 +304,7 @@ class FockVector:
         """This vector in the layout ``beads`` of its level, at an offset
         ``off`` no smaller than its own."""
         old, up = self._beads, _DIGIT * (off - self._off)
-        if old is beads or old is None:
+        if old is None or old == beads:
             terms = {y: x << up for y, x in self._terms.items()}
         else:
             terms = {beads.code(old.shape(y)): x << up for y, x in self._terms.items()}
@@ -343,7 +345,7 @@ class FockVector:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FockVector):
             return NotImplemented
-        if self._beads is other._beads and self._off == other._off:
+        if self._beads == other._beads and self._off == other._off:
             return self._terms == other._terms
         return dict(self.items()) == dict(other.items())
 
@@ -367,7 +369,7 @@ class FockVector:
                 raise InternalConsistencyError(
                     f"subtracting ({gamma}) times a vector could take a digit past the guard of 2^30"
                 )
-        if this._beads is not other._beads or this._off != other._off:
+        if this._beads != other._beads or this._off != other._off:
             if this._beads is not None and this._beads.level != other._beads.level:
                 raise ValueError("the two vectors have different levels")
             beads = other._beads if this._beads is None else max(

@@ -54,8 +54,9 @@ def _removals(
     reads: every one, or with ``residues`` set those of residue
     ``residues[-1]``."""
     out = []
+    both = steps(lam, kappa)
     for i in RESIDUES if residues is None else residues[-1:]:
-        for (a, b, m), mark, shift in steps(lam, kappa, i):
+        for (a, b, m), mark, shift in both[i]:
             if mark == REMOVABLE:
                 comp = lam[m - 1]
                 comp = comp[: a - 1] + (b - 1,) + comp[a:] if b > 1 else comp[: a - 1]

@@ -229,7 +229,7 @@ def shape_moves(lam, kappa, i, k):
     in the tuple form that the bead kernel of ``fock`` replaced: the nodes
     and signed counts of ``core.steps``, each chosen node spliced into its
     row, the exponent being the sum of their counts less k(k-1)/2."""
-    plus = [(node, count) for node, mark, count in steps(lam, kappa, i) if mark == ADDABLE]
+    plus = [(node, count) for node, mark, count in steps(lam, kappa)[i] if mark == ADDABLE]
     overlap = k * (k - 1) // 2
     out = []
     for chosen in combinations(plus, k):

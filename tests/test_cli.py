@@ -5,12 +5,15 @@ import json
 import os
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qspecht.cli import main
+from qspecht.core import format_multipartition
+from qspecht.crystal import restricted_multipartitions
 
 
 def run(capsys, *argv):
@@ -236,8 +239,11 @@ def test_degree_paths_match_frozen_digests(capsys, command):
 
 # sha256 of the stdout of `restricted --d d --charge c --format f`, recorded from
 # the implementation that summarised each component by its lowest surviving
-# addable node and printed one line at a time
+# addable node and printed one line at a time; the d = 36 and d = 26 entries
+# from the one that sorted the whole set before listing it
 FROZEN_RESTRICTED_SHA256 = {
+    ("36", "0,1", "text"): "593a5e3cd7a3b28915cd9d4f0ce755dc6dd0c439f115019f0a82bcb1992a8564",
+    ("26", "0,0,1", "text"): "3d1d6afe7c9f4e0becfbb3f17a4fe6bd782562a1d50bd36c3b41537b18eb9d58",
     ("20", "0", "text"): "ab6744d57c031d31a4eddb716fef9c8905637c1b6045798caaba453b0e9e81dd",
     ("20", "0", "json"): "b8623361b635bff913b750e5c875c1125acb397fbd2ca0743f03ead83a8549e3",
     ("24", "0,1", "text"): "1d277814564a51f5435eb87fdeec40d51fb53694745ac1f998ce11f48992e4d1",
@@ -259,6 +265,26 @@ def test_restricted_output_matches_frozen_digest(capsys, d, charge, fmt):
     assert code == 0
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == FROZEN_RESTRICTED_SHA256[d, charge, fmt]
+
+
+def test_restricted_lists_the_sorted_set(capsys):
+    # the listing by prefix against the sorted set, every charge in {0, 1}
+    # at levels 1-4 and every d <= 10, the empty multipartition included
+    for level in (1, 2, 3, 4):
+        for kappa in product((0, 1), repeat=level):
+            charge = ",".join(map(str, kappa))
+            for d in range(11):
+                names = [format_multipartition(lam)
+                         for lam in sorted(restricted_multipartitions(d, kappa))]
+                code, out = run(capsys, "restricted", "--d", str(d), "--charge", charge)
+                assert code == 0
+                assert out == "\n".join([f"count: {len(names)}"] + names) + "\n", (d, kappa)
+                code, out = run(
+                    capsys, "restricted", "--d", str(d), "--charge", charge, "--format", "json"
+                )
+                assert code == 0
+                payload = {"d": d, "charge": list(kappa), "restricted": names}
+                assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n", (d, kappa)
 
 
 class CountingWriter(io.StringIO):

@@ -19,7 +19,7 @@ from qspecht.core import (
     partition_parity,
     partitions,
     residue_node_count,
-    signature,
+    signatures,
     steps,
     with_node_added,
     young_nodes,
@@ -42,7 +42,7 @@ from oracles import (
 
 def marked(lam, kappa, i, mark):
     """The i-nodes that the signature marks with ``mark``, in below-order."""
-    return [node for node, m in signature(lam, kappa, i) if m == mark]
+    return [node for node, m in signatures(lam, kappa)[i] if m == mark]
 
 
 @st.composite
@@ -143,20 +143,68 @@ def test_node_lists_in_below_order():
                 assert is_below(later, earlier)
 
 
+STAIRCASE = tuple(range(30, 0, -1))
+
+
 def test_signature_matches_two_lists_and_sort():
-    for level, max_d in ((1, 9), (2, 9), (3, 6)):
-        for kappa in itertools.product((0, 1), repeat=level):
-            for d in range(max_d + 1):
-                for lam in multipartitions(d, level):
-                    for i in (0, 1):
-                        assert signature(lam, kappa, i) == node_signature(lam, kappa, i), (
-                            lam, kappa, i,
-                        )
+    # both residues of the run-length pass against the oracle, which tries
+    # every cell of a box around each component: every shape of size <= 9
+    # at levels 1-3, every charge in {0, 1} and two of other integers, then
+    # one run of 40 rows, one row of 40 parts and 30 runs of one row
+    for level in (1, 2, 3):
+        charges = list(itertools.product((0, 1), repeat=level))
+        charges += [(2, -1, 3)[:level], (-1, 2, -2)[:level]]
+        shapes = [lam for d in range(10) for lam in multipartitions(d, level)]
+        for kappa in charges:
+            for lam in shapes:
+                assert signatures(lam, kappa) == tuple(
+                    node_signature(lam, kappa, i) for i in (0, 1)
+                ), (lam, kappa)
+    for lam in [((1,) * 40,), ((40,),), (STAIRCASE,), ((1,) * 40, (), (40,))]:
+        for charge in [(0, 1, 0), (1, 0, 1), (2, -1, 3), (-1, 2, -2)]:
+            kappa = charge[: len(lam)]
+            assert signatures(lam, kappa) == tuple(
+                node_signature(lam, kappa, i) for i in (0, 1)
+            ), (lam, kappa)
+
+
+class Reads(tuple):
+    """A partition that tallies the parts read from it: one per index, and
+    the whole tuple per scan."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        Reads.reads += len(range(len(self))[key]) if isinstance(key, slice) else 1
+        return super().__getitem__(key)
+
+    def __iter__(self):
+        Reads.reads += len(self)
+        return super().__iter__()
+
+    def count(self, value):
+        Reads.reads += len(self)
+        return super().count(value)
+
+    def index(self, value, *args):
+        Reads.reads += len(self)
+        return super().index(value, *args)
+
+
+@pytest.mark.parametrize("comp", [(1,) * 40, (40,), STAIRCASE, (5,) * 9 + (3,) * 17 + (1,)])
+def test_signatures_read_each_run_not_each_row(comp):
+    # a run costs its first row, the row after it, and a bisection when it
+    # is longer; scanning the tuple once per run would read 30 * 30 parts
+    # of the staircase
+    runs = len(set(comp))
+    Reads.reads = 0
+    assert signatures((Reads(comp),), (0,)) == signatures((comp,), (0,))
+    assert Reads.reads <= runs * (2 + len(comp).bit_length())
 
 
 def test_node_kernel_matches_the_literal_definitions():
     # every node of every shape and every charge: the signed counts read
-    # from `signature` against the oracle, which tries every cell of a box
+    # from `signatures` against the oracle, which tries every cell of a box
     # around each component (the marks themselves are checked by
     # `test_signature_matches_two_lists_and_sort`)
     nodes = 0
@@ -187,18 +235,17 @@ def test_steps_match_the_literal_definitions():
                             shape = with_node_added(lam, node) if mark == "+" else lam
                             count = oracles.degree_contribution(shape, kappa, node)
                             expected.append((node, mark, count))
-                        assert steps(lam, kappa, i) == expected, (lam, kappa, i)
+                        assert steps(lam, kappa)[i] == expected, (lam, kappa, i)
                         cases += 1
     assert cases == 2 * (2 * 139 + 4 * 139 + 8 * 86)
 
 
 @pytest.mark.parametrize("i", [2, -1])
 def test_residue_outside_zero_one_is_rejected(i):
-    # the row pass reads "end cell not of residue i" as an addable node, so
-    # an unchecked residue would list every row's addable node
-    for kernel in (signature, steps, add_good_node):
-        with pytest.raises(ValueError):
-            kernel(((1,),), (0,), i)
+    # the good node of a residue i outside {0, 1} would be read from the
+    # summary of i mod 2
+    with pytest.raises(ValueError):
+        add_good_node(((1,),), (0,), i)
     with pytest.raises(ValueError):
         induct(FockVector.basis(((1,),)), (0,), i)
 

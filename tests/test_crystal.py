@@ -10,7 +10,7 @@ from qspecht.core import (
     multipartition_size,
     multipartitions,
     partitions,
-    signature,
+    signatures,
 )
 from qspecht.crystal import add_good_node, restricted_multipartitions
 
@@ -18,15 +18,15 @@ K0 = (0,)
 
 
 def test_signature_examples():
-    assert signature(((1,),), K0, 1) == [((1, 2, 1), "+"), ((2, 1, 1), "+")]
-    assert signature(((),), K0, 0) == [((1, 1, 1), "+")]
-    assert signature(((2,),), K0, 1) == [((1, 2, 1), "-"), ((2, 1, 1), "+")]
+    assert signatures(((1,),), K0) == ([((1, 1, 1), "-")], [((1, 2, 1), "+"), ((2, 1, 1), "+")])
+    assert signatures(((),), K0) == ([((1, 1, 1), "+")], [])
+    assert signatures(((2,),), K0) == ([((1, 3, 1), "+")], [((1, 2, 1), "-"), ((2, 1, 1), "+")])
 
 
 def test_signature_below_order_level_two():
-    sig = signature(((2, 1), (1,)), (0, 1), 1)
-    keys = [(node[2], node[0]) for node, _ in sig]
-    assert keys == sorted(keys)
+    for sig in signatures(((2, 1), (1,)), (0, 1)):
+        keys = [(node[2], node[0]) for node, _ in sig]
+        assert keys == sorted(keys)
 
 
 def test_add_good_node_examples():

@@ -20,7 +20,7 @@ from qspecht.core import (
     degree_parity,
     multipartitions,
     partitions,
-    signature,
+    signatures,
     steps,
 )
 from qspecht.crystal import add_good_node
@@ -199,9 +199,11 @@ def test_level_mismatch_is_a_value_error(lam, kappa):
         qdim_specht(lam, kappa)
     with pytest.raises(ValueError, match="components but charge has"):
         qdim_truncation(lam, kappa, (0,) * sum(map(sum, lam)))
-    for kernel in (signature, steps, add_good_node):
+    for kernel in (signatures, steps):
         with pytest.raises(ValueError, match="components but charge has"):
-            kernel(lam, kappa, 0)
+            kernel(lam, kappa)
+    with pytest.raises(ValueError, match="components but charge has"):
+        add_good_node(lam, kappa, 0)
     with pytest.raises(ValueError, match="components but charge has"):
         degree_contribution(lam, kappa, (1, 1, 1))
 
@@ -255,10 +257,12 @@ def test_verify_specht_parity_sweep():
 
 
 def test_parity_sweep_catches_counts_that_disagree_with_degree_contribution(monkeypatch):
-    # Shifting every step by 2 keeps each qdim pure of its parity, so only
-    # the row-filled degree check can see it.
-    def shifted(lam, kappa, i):
-        return [(node, mark, count + 2) for node, mark, count in steps(lam, kappa, i)]
+    # Shifting every step of both residues by 2 keeps each qdim pure of its
+    # parity, so only the row-filled degree check can see it.
+    def shifted(lam, kappa):
+        return tuple(
+            [(node, mark, count + 2) for node, mark, count in sig] for sig in steps(lam, kappa)
+        )
 
     monkeypatch.setattr(specht, "steps", shifted)
     report = verify_specht_parity(3, (0, 1))

@@ -157,7 +157,8 @@ def test_only_core_holds_context_variables_and_no_module_reads_anothers_private_
 def test_the_signature_has_three_readers_and_the_node_lists_live_in_the_oracles():
     # `core.steps` serves the tableau search and the branching recursion (the
     # Fock space reads bead masks); `degree_contribution` is the literal
-    # prefix recursion; the crystal summarises one component per residue
+    # prefix recursion; the crystal summarises one component for both
+    # residues from one call
     readers = set()
     defined = set()
     for path in SOURCES:
@@ -170,11 +171,11 @@ def test_the_signature_has_three_readers_and_the_node_lists_live_in_the_oracles(
                 elif isinstance(node, ast.Call):
                     func = node.func
                     name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
-                    if name == "signature":
+                    if name == "signatures":
                         readers.add((path.name, getattr(top, "name", "<module>")))
     assert readers == {
         ("core.py", "steps"),
         ("core.py", "degree_contribution"),
-        ("crystal.py", "_summary"),
+        ("crystal.py", "_Interned"),
     }
     assert not defined & {"addable_nodes", "removable_nodes", "contains_node", "residue_of"}
