@@ -11,10 +11,10 @@ Conventions used throughout the package:
 * :func:`signatures` is the one node kernel on tuple shapes: it alone
   decides which cells of a tuple are addable or removable i-nodes, for
   both residues in one pass over the runs of equal parts.  :func:`steps`
-  gives each node of both signatures with its signed count and builds no
-  shape: its callers (the tableau search and the branching recursion) take
-  the residues they need and add or remove the nodes.  The crystal reduces
-  both signatures of one component from one call.
+  gives each node of both signatures, or of the residues its caller names,
+  with its signed count and builds no shape: its callers (the tableau
+  search and the branching recursion) add or remove the nodes.  The
+  crystal reduces both signatures of one component from one call.
   :func:`degree_contribution` reads the count of one node of the diagram
   from the signature of its residue, for the literal prefix recursion of a
   tableau's degree and the sweeps' row-filled degrees.  The Fock space
@@ -31,11 +31,9 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_right
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager
 from contextvars import ContextVar
-from operator import neg
 from typing import Generic, TypeVar
 
 Partition = tuple[int, ...]
@@ -138,9 +136,8 @@ def signatures(lam: Multipartition, kappa: Multicharge) -> tuple[list, list]:
     A run of part p in rows a..z can only add (a, p+1) and remove (z, p), and
     the last row of a component adds (len + 1, 1).  Two cells of one row
     have different residues, so no row holds two nodes of one signature.
-    A run's end is found by its next row, or by bisection when the run is
-    longer, so a component costs O(runs log rows).  The charges may be any
-    integers; only their parity counts.
+    A component is read once, row by row, for both residues.  The charges
+    may be any integers; only their parity counts.
     """
     check_component_count(lam, kappa)
     out: tuple[list, list] = ([], [])
@@ -151,8 +148,8 @@ def signatures(lam: Multipartition, kappa: Multicharge) -> tuple[list, list]:
         while a < last:
             p = comp[a]
             z = a + 1  # the run's last row
-            if z < last and comp[z] == p:
-                z = bisect_right(comp, -p, z + 1, last, key=neg)
+            while z < last and comp[z] == p:
+                z += 1
             out[(k + p - a) % 2].append(((a + 1, p + 1, m), ADDABLE))
             out[(k + p - z) % 2].append(((z, p, m), REMOVABLE))
             a = z
@@ -197,18 +194,23 @@ def degree_contribution(lam: Multipartition, kappa: Multicharge, node: Node) -> 
     return count
 
 
-def steps(lam: Multipartition, kappa: Multicharge) -> tuple[list, list]:
+def steps(
+    lam: Multipartition, kappa: Multicharge, residues: Iterable[int] = RESIDUES
+) -> tuple[list, list]:
     """For residues 0 and 1, ``(node, mark, count)`` for each node of the
     signature, lowest first: for an addable node A the signed count of A in
     lam+A, for a removable one the count of A in lam.  No row holds two
     signature nodes, and adding A changes only nodes of the other residue,
     so either count is the '+' minus the '-' strictly after A in the
-    signature of lam.
+    signature of lam.  Only the residues in ``residues`` are listed; the
+    list of any other is left empty.
     """
+    sigs = signatures(lam, kappa)
     out: tuple[list, list] = ([], [])
-    for sig, into in zip(signatures(lam, kappa), out):
+    for i in residues:
+        into = out[i]
         count = 0
-        for node, mark in reversed(sig):
+        for node, mark in reversed(sigs[i]):
             into.append((node, mark, count))
             count += 1 if mark == ADDABLE else -1
     return out

@@ -54,8 +54,9 @@ def _removals(
     reads: every one, or with ``residues`` set those of residue
     ``residues[-1]``."""
     out = []
-    both = steps(lam, kappa)
-    for i in RESIDUES if residues is None else residues[-1:]:
+    wanted = RESIDUES if residues is None else residues[-1:]
+    both = steps(lam, kappa, wanted)
+    for i in wanted:
         for (a, b, m), mark, shift in both[i]:
             if mark == REMOVABLE:
                 comp = lam[m - 1]

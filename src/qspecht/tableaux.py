@@ -113,10 +113,11 @@ def _search(
         """The moves from ``mu``, a diagram of ``r`` nodes."""
         found = moves_of.get(mu)
         if found is None:
-            both = steps(mu, kappa)
+            wanted = RESIDUES if target is None else target[r : r + 1]
+            both = steps(mu, kappa, wanted)
             found = moves_of[mu] = sorted(
                 (m, a, b, count)
-                for i in (RESIDUES if target is None else target[r : r + 1])
+                for i in wanted
                 for (a, b, m), mark, count in both[i]
                 if mark == ADDABLE and a <= len(lam[m - 1]) and b <= lam[m - 1][a - 1]
             )

@@ -259,9 +259,10 @@ def test_verify_specht_parity_sweep():
 def test_parity_sweep_catches_counts_that_disagree_with_degree_contribution(monkeypatch):
     # Shifting every step of both residues by 2 keeps each qdim pure of its
     # parity, so only the row-filled degree check can see it.
-    def shifted(lam, kappa):
+    def shifted(lam, kappa, *residues):
         return tuple(
-            [(node, mark, count + 2) for node, mark, count in sig] for sig in steps(lam, kappa)
+            [(node, mark, count + 2) for node, mark, count in sig]
+            for sig in steps(lam, kappa, *residues)
         )
 
     monkeypatch.setattr(specht, "steps", shifted)
