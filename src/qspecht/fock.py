@@ -151,8 +151,9 @@ def _top_word(x: int) -> int:
 class _Beads:
     """The bead masks of the level-``level`` multipartitions of size at most
     ``cap``, as laid out in the module docstring.  Two layouts of one level
-    and capacity are equal, and hash alike, so the memos of ``move_memo``
-    serve every copy, and no layout outlives the vectors that hold it."""
+    and capacity are equal, and ``move_memo`` keys them by (level, cap), so
+    its memos serve every copy, and no layout outlives the vectors that
+    hold it."""
 
     __slots__ = ("level", "cap", "beads", "width", "empty", "_masks")
 
@@ -167,9 +168,6 @@ class _Beads:
         if not isinstance(other, _Beads):
             return NotImplemented
         return self.level == other.level and self.cap == other.cap
-
-    def __hash__(self) -> int:
-        return hash((self.level, self.cap))
 
     def code(self, mu: Multipartition) -> int:
         """The mask of ``mu``, which must have this level and size at most
@@ -453,7 +451,7 @@ def induct(v: FockVector, kappa: Multicharge, i: int, k: int = 1) -> FockVector:
     if v._top + k > beads.cap:
         beads = _layout(beads.level, v._top + k)
         v = v._recoded(beads, v._off)
-    table = move_memo.get()[0].setdefault((beads, kappa, i, k), {})
+    table = move_memo.get()[0].setdefault((beads.level, beads.cap, kappa, i, k), {})
     add, rem = beads.masks(kappa, i)
     for x in [x for x in v._terms if x not in table]:
         table[x] = _entry(x, add, rem, k)
@@ -547,7 +545,7 @@ def _reduce(
     if not v:
         raise InternalConsistencyError(f"the start vector of {mu} is zero")
     beads = v._beads
-    codes = move_memo.get()[1].setdefault(beads, {})
+    codes = move_memo.get()[1].setdefault((beads.level, beads.cap), {})
     rounds = 0
     while True:
         low = (1 << _DIGIT * (v._off + 1)) - 1  # the digits of the exponents <= 0
