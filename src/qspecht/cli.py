@@ -196,7 +196,11 @@ def _cmd_llt(args) -> int:
     if len(charge) != 1:
         raise UsageError("the canonical-basis computation is level-1 only")
     _check_nonnegative(args.d, "--d")
-    matrix = decomposition_matrix(args.d, charge)
+    try:
+        matrix = decomposition_matrix(args.d, charge)
+    except InternalConsistencyError as err:
+        print(f"error: canonical basis: {err}", file=sys.stderr)
+        return 1
     # violation lines name a shape (lam,) by its one partition lam
     violations = []
     try:  # simple_qdims refuses a solved simple that is negative or not bar-symmetric

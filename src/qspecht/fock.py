@@ -55,16 +55,17 @@ dimension, exactly):
   dominance), the shapes built as the conjugates of the partitions into
   distinct parts.  The vector of mu starts as the divided power F_i^(k) of the
   finished vector of mu with its top ladder of k nodes of residue i removed
-  (the recursive form of Lascoux-Leclerc-Thibon), then bar-symmetric
-  multiples of earlier elements of the same size are subtracted until every
-  off-leading coefficient has positive exponents only, which on the codes
-  is ``x & low == 0``;
+  (the recursive form of Lascoux-Leclerc-Thibon), then one pass over the
+  earlier elements of the same size, least dominant first, subtracts a
+  bar-symmetric multiple of each whose index still has a coefficient with
+  an exponent <= 0, which on the codes is ``x & low != 0``.  One pass
+  suffices: each element is supported on its index and on shapes after it
+  in tuple order, so no subtraction reopens an index already passed;
 * the moves of a bead mask under F_i^(k) depend on the layout, the charge,
   i and k only.  They are memoized by (layout, charge, i, k) in one dict of
   ``move_memo``, a :class:`core.CallMemo` that :func:`canonical_basis`
   holds, and cleared before each size of columns: the moves of a mask of
-  size m under F_i^(k) are read only by the columns of size m+k.  The other
-  dict of the memo holds the mask of each column, per layout.
+  size m under F_i^(k) are read only by the columns of size m+k.
 
 Any convention mismatch surfaces as :class:`InternalConsistencyError`, never
 as silently wrong numbers.
@@ -401,9 +402,8 @@ class FockVector:
         return f"FockVector<{inner or '0'}>"
 
 
-# (moves, masks): moves[layout, kappa, i, k] maps each mask to its induct
-# entry, and masks[layout] each column shape to its mask.
-move_memo: CallMemo[tuple] = CallMemo("qspecht_fock_moves", lambda: ({}, {}))
+# moves[level, cap, kappa, i, k] maps each mask to its induct entry
+move_memo: CallMemo[dict] = CallMemo("qspecht_fock_moves", dict)
 
 
 def _entry(x: int, add: int, rem: int, k: int):
@@ -451,7 +451,7 @@ def induct(v: FockVector, kappa: Multicharge, i: int, k: int = 1) -> FockVector:
     if v._top + k > beads.cap:
         beads = _layout(beads.level, v._top + k)
         v = v._recoded(beads, v._off)
-    table = move_memo.get()[0].setdefault((beads.level, beads.cap, kappa, i, k), {})
+    table = move_memo.get().setdefault((beads.level, beads.cap, kappa, i, k), {})
     add, rem = beads.masks(kappa, i)
     for x in [x for x in v._terms if x not in table]:
         table[x] = _entry(x, add, rem, k)
@@ -534,36 +534,28 @@ def _bar_symmetric_low_part(c: LaurentPoly) -> LaurentPoly:
 
 
 def _reduce(
-    mu: Multipartition, v: FockVector, earlier: list[tuple[Multipartition, FockVector]]
+    mu: Multipartition, v: FockVector, earlier: list[tuple[int, FockVector]]
 ) -> FockVector:
     """The canonical vector of ``mu``, from a bar-invariant ``v`` with
-    coefficient 1 at ``mu``: subtract bar-symmetric multiples of the
-    ``earlier`` canonical vectors of the same size until no coefficient at
-    their indices has a nonpositive exponent, then check the result, whose
-    digit bound is then exact.  ``v`` and the earlier vectors share one
-    layout, whose column masks are read from ``move_memo``."""
+    coefficient 1 at ``mu``: one pass over the ``earlier`` canonical vectors
+    of the same size, given as (mask, vector) in the layout of ``v`` and in
+    descending reverse-lexicographic order, least dominant first, subtracts
+    each whose index still has a coefficient with a nonpositive exponent,
+    times the bar-symmetric low part of that coefficient.  No subtraction
+    reopens an index already passed, since each canonical vector is
+    supported on its index and shapes after it in tuple order.  The result
+    is then checked, and its digit bound is exact."""
     if not v:
         raise InternalConsistencyError(f"the start vector of {mu} is zero")
+    low = (1 << _DIGIT * (v._off + 1)) - 1  # the digits of the exponents <= 0
+    for y, g in reversed(earlier):
+        x = v._terms.get(y)
+        if x is not None and x & low:
+            # the balanced low digits of x are those of x & low, up to a carry into q^1
+            v = v.sub_scaled(_bar_symmetric_low_part(_poly(x & low, v._off)), g)
+            low = (1 << _DIGIT * (v._off + 1)) - 1
     beads = v._beads
-    codes = move_memo.get()[1].setdefault((beads.level, beads.cap), {})
-    rounds = 0
-    while True:
-        low = (1 << _DIGIT * (v._off + 1)) - 1  # the digits of the exponents <= 0
-        for nu, g in reversed(earlier):  # least dominant candidates first
-            y = codes.get(nu)
-            if y is None:
-                y = codes[nu] = beads.code(nu)
-            x = v._terms.get(y)
-            if x is not None and x & low:
-                break
-        else:
-            break
-        # the balanced low digits of x are those of x & low, up to a carry into q^1
-        v = v.sub_scaled(_bar_symmetric_low_part(_poly(x & low, v._off)), g)
-        rounds += 1
-        if rounds > 2 * len(earlier) + 2:
-            raise InternalConsistencyError(f"elimination for {mu} did not terminate")
-    lead = codes[mu] = beads.code(mu)
+    lead = beads.code(mu)
     if v._terms.get(lead) != 1 << _DIGIT * v._off:
         raise InternalConsistencyError(
             f"leading coefficient at {mu} is {_poly(v._terms.get(lead, 0), v._off)}, expected 1"
@@ -575,17 +567,14 @@ def _reduce(
     union = reduce(or_, [x for y, x in v._terms.items() if y != lead], 0)
     if union >= 0 and not union & low and (bound := _top_word(union)) < _GUARD:
         return FockVector._adopt(beads, v._terms, v._top, v._off, max(bound, 1))
-    bound = 1
     for y, x in v._terms.items():
-        if y != lead:
-            c = _poly(x, v._off)
-            if c.min_exponent() < 1 or any(a < 0 for _, a in c.terms()):
-                raise InternalConsistencyError(
-                    f"coefficient {c} at {beads.shape(y)} in the vector for {mu} "
-                    "is outside q-positive range"
-                )
-            bound = max(bound, max(a for _, a in c.terms()))
-    return FockVector._adopt(beads, v._terms, v._top, v._off, bound)
+        c = _poly(x, v._off)  # a digit past the guard raises here
+        if y != lead and (c.min_exponent() < 1 or any(a < 0 for _, a in c.terms())):
+            raise InternalConsistencyError(
+                f"coefficient {c} at {beads.shape(y)} in the vector for {mu} "
+                "is outside q-positive range"
+            )
+    raise InternalConsistencyError(f"the vector for {mu} fails its check, but no term of it does")
 
 
 def canonical_basis(
@@ -600,8 +589,8 @@ def canonical_basis(
     Column mu starts from F_i^(k) applied to the finished vector of mu with
     its top ladder removed, which is held only until the last column that
     starts from it.  The moves of each shape are computed once per size of
-    the columns, and the mask of each column once for the call, in
-    ``move_memo``.
+    the columns, in ``move_memo``, and the mask of each column once, to
+    hand the columns of its size to :func:`_reduce`.
     """
     if len(kappa) != 1:
         raise ValueError("the canonical-basis computation is level-1 only")
@@ -613,12 +602,13 @@ def canonical_basis(
     ]
     uses = Counter(minus for size in sizes for _, (minus, _, _) in size)
     empty = ((),)
-    held = {empty: FockVector.basis(empty)._recoded(_layout(1, d), _OFF)}  # finished vectors
+    beads = _layout(1, d)
+    held = {empty: FockVector.basis(empty)._recoded(beads, _OFF)}  # finished vectors
     columns = [(empty, held[empty])]  # the one column of size 0
-    with move_memo.held() as (moves, _):
+    with move_memo.held() as moves:
         for size in sizes:
             moves.clear()  # no column of this size reads the moves of a smaller one
-            columns = []
+            columns, earlier = [], []
             for mu, (minus, i, k) in size:
                 if minus not in held:
                     raise InternalConsistencyError(
@@ -628,7 +618,9 @@ def canonical_basis(
                 uses[minus] -= 1
                 if not uses[minus]:
                     del held[minus]
-                columns.append((mu, _reduce(mu, v, columns)))
+                g = _reduce(mu, v, earlier)
+                columns.append((mu, g))
+                earlier.append((beads.code(mu), g))
             held.update((mu, v) for mu, v in columns if uses[mu])
     return columns
 

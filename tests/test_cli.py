@@ -144,6 +144,22 @@ def test_llt_reports_a_refused_simple_as_a_violation(capsys, monkeypatch):
     ]
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_llt_reports_a_failed_elimination_on_stderr(capsys, monkeypatch, fmt):
+    # a canonical basis that cannot be built leaves stdout empty: exit 1, no traceback
+    from qspecht import fock
+
+    def failing(mu, v, earlier):
+        raise fock.InternalConsistencyError(f"leading coefficient at {mu} is 0, expected 1")
+
+    monkeypatch.setattr(fock, "_reduce", failing)
+    code = main(["llt", "--d", "4", "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: canonical basis: leading coefficient at ((1,),) is 0, expected 1\n"
+
+
 def test_llt_csv(capsys):
     code, out = run(capsys, "llt", "--d", "3", "--format", "csv")
     assert code == 0

@@ -333,6 +333,9 @@ FROZEN_MATRIX_SHA256 = {
     (18, 1): "7b9a564751f3b635c113683b188182cb5244ad4181486789004adce482048a77",
     (19, 1): "be3d162691fc38dded94fd5da784be01c5b0241668c4a3b7b788af184970e96b",
     (20, 1): "e3814a17d9fdc7064dbaf0f0bc37f8c9b700c4dbc9a10712f34ffced1ebec4b3",
+    # recorded from the elimination that restarted until no index was left
+    (24, 0): "5817d7282276698b45ad0e2b8e9d71eea705bfebf71fa1d4f64d7ce58d86c79e",
+    (24, 1): "5817d7282276698b45ad0e2b8e9d71eea705bfebf71fa1d4f64d7ce58d86c79e",
 }
 
 
@@ -340,6 +343,30 @@ def test_decomposition_matrices_match_frozen_digests():
     for (d, c), expected in FROZEN_MATRIX_SHA256.items():
         blob = json.dumps(decomposition_matrix(d, (c,)).to_json(), sort_keys=True)
         assert hashlib.sha256(blob.encode()).hexdigest() == expected, (d, c)
+
+
+def test_canonical_vectors_are_supported_at_or_after_their_columns():
+    # the order that lets _reduce eliminate in one pass, least dominant first
+    for c in (0, 1):
+        for d in range(17):
+            for mu, vector in canonical_basis(d, (c,)):
+                assert all(lam >= mu for lam in vector.support()), (d, c, mu)
+
+
+def test_reduce_refuses_start_vectors_it_cannot_finish():
+    mu = ((1, 1),)
+    with pytest.raises(fock.InternalConsistencyError, match=r"start vector of \(\(1, 1\),\) is zero"):
+        fock._reduce(mu, FockVector(), [])
+    with pytest.raises(fock.InternalConsistencyError, match=r"at \(\(1, 1\),\) is 2, expected 1"):
+        fock._reduce(mu, FockVector({mu: ONE + ONE}), [])
+    # with no earlier column, nothing removes a q^-1 or a negative coefficient
+    for coeff in (q_power(-1), -Q):
+        v = FockVector({mu: ONE, ((2,),): coeff})
+        with pytest.raises(
+            fock.InternalConsistencyError,
+            match=r"at \(\(2,\),\) in the vector for \(\(1, 1\),\) is outside q-positive range",
+        ):
+            fock._reduce(mu, v, [])
 
 
 def test_induct_shifts_are_the_signed_counts():
@@ -644,6 +671,19 @@ def test_simple_qdims_refuses_every_q_squared_mutant(d, nonnegative):
         unnoticed += all(c >= 0 for poly in simples for _, c in poly.terms())
     assert len(cells) == {11: 9, 12: 20}[d]
     assert unnoticed == nonnegative
+
+
+def test_simple_qdims_refuses_an_entry_above_the_diagonal():
+    # the entry at ((1^4), (2,1,1)) sits in the row of a later column
+    matrix = decomposition_matrix(4)
+    assert matrix.cols == (((2, 1, 1),), ((1, 1, 1, 1),))
+    entries = {**matrix.entries, (matrix.cols[1], matrix.cols[0]): Q}
+    mutant = GradedDecompositionMatrix(matrix.rows, matrix.cols, entries)
+    with pytest.raises(
+        fock.InternalConsistencyError,
+        match=r"entry \(\(\(1, 1, 1, 1\),\), \(\(2, 1, 1\),\)\) breaks unitriangularity",
+    ):
+        simple_qdims(mutant)
 
 
 def test_decomposition_matrix_fields_cannot_be_reassigned():
