@@ -52,15 +52,16 @@ dimension, exactly):
   diagonal.  Top ladders, and so :func:`canonical_basis`, are level-1 only;
 * canonical-basis elements are computed size by size, per 2-restricted
   shape in descending reverse-lexicographic order (a linear extension of
-  dominance), the shapes built as the conjugates of the partitions into
-  distinct parts.  The vector of mu starts as the divided power F_i^(k) of the
-  finished vector of mu with its top ladder of k nodes of residue i removed
-  (the recursive form of Lascoux-Leclerc-Thibon), then one pass over the
-  earlier elements of the same size, least dominant first, subtracts a
-  bar-symmetric multiple of each whose index still has a coefficient with
-  an exponent <= 0, which on the codes is ``x & low != 0``.  One pass
-  suffices: each element is supported on its index and on shapes after it
-  in tuple order, so no subtraction reopens an index already passed;
+  dominance), as :func:`core.partitions` lists them and
+  :func:`core.is_2_restricted` keeps them.  The vector of mu starts as the
+  divided power F_i^(k) of the finished vector of mu with its top ladder of
+  k nodes of residue i removed (the recursive form of Lascoux-Leclerc-Thibon),
+  then one pass over the earlier elements of the same size, least dominant
+  first, subtracts a bar-symmetric multiple of each whose index still has a
+  coefficient with an exponent <= 0, which on the codes is
+  ``x & low != 0``.  One pass suffices: each element is supported on its
+  index and on shapes after it in tuple order, so no subtraction reopens an
+  index already passed;
 * the moves of a bead mask under F_i^(k) depend on the layout, the charge,
   i and k only.  They are memoized by (layout, charge, i, k) in one dict of
   ``move_memo``, a :class:`core.CallMemo` that :func:`canonical_basis`
@@ -85,13 +86,14 @@ from .core import (
     CallMemo,
     Multicharge,
     Multipartition,
-    Partition,
     as_partition,
     check_component_count,
     empty_multipartition,
     format_multipartition,
+    is_2_restricted,
     multipartition_size,
     multipartitions,
+    partitions,
 )
 from .laurent import LaurentPoly, ONE, ZERO
 
@@ -151,19 +153,17 @@ def _top_word(x: int) -> int:
 
 class _Beads:
     """The bead masks of the level-``level`` multipartitions of size at most
-    ``cap``, as laid out in the module docstring.  Two layouts of one level
-    and capacity are equal, and ``move_memo`` keys them by (level, cap), so
-    its memos serve every copy, and no layout outlives the vectors that
-    hold it."""
+    ``cap``, as laid out in the module docstring.  A layout is a value: it
+    holds its geometry and nothing else, two layouts of one level and
+    capacity are equal, and ``move_memo`` keys its tables by (level, cap)."""
 
-    __slots__ = ("level", "cap", "beads", "width", "empty", "_masks")
+    __slots__ = ("level", "cap", "beads", "width", "empty")
 
     def __init__(self, level: int, cap: int):
         self.level, self.cap = level, cap
         self.beads = n = cap + 1
         self.width = w = n + cap + 1
         self.empty = sum(((1 << n) - 1) << m * w for m in range(level))
-        self._masks: dict[tuple[Multicharge, int], tuple[int, int]] = {}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, _Beads):
@@ -177,12 +177,8 @@ class _Beads:
         for m, comp in enumerate(reversed(mu)):
             top = m * self.width + self.beads
             x -= (1 << top) - (1 << top - len(comp))  # lift the first len(comp) beads
-            j = 0
-            while j < len(comp):  # the beads of a run of equal parts are adjacent
-                part = comp[j]
-                run = comp.count(part)
-                x |= ((1 << run) - 1) << top + part - j - run
-                j += run
+            for j, part in enumerate(comp, 1):
+                x |= 1 << top + part - j
         return x
 
     def shape(self, x: int) -> Multipartition:
@@ -200,19 +196,17 @@ class _Beads:
 
     def masks(self, kappa: Multicharge, i: int) -> tuple[int, int]:
         """``(add, rem)``: the bead positions whose move up adds an i-node,
-        and those whose move down removes one."""
-        got = self._masks.get((kappa, i))
-        if got is None:
-            add = rem = 0
-            w = self.width
-            for m, charge in enumerate(reversed(kappa)):
-                for p in range(w):
-                    if (charge + p + 1 - self.beads - i) % 2 == 0:
-                        add |= (p < w - 1) << m * w + p
-                    else:
-                        rem |= (p > 0) << m * w + p
-            got = self._masks[kappa, i] = (add, rem)
-        return got
+        the p of parity (charge+1-N-i) mod 2 below the window's top bit, and
+        those whose move down removes one, the others above bit 0.  The
+        width is even, so ``(2^width - 1) // 3`` is a window's even bits."""
+        w = self.width
+        even = ((1 << w) - 1) // 3
+        add = rem = 0
+        for m, charge in enumerate(reversed(kappa)):
+            parity = (charge + 1 - self.beads - i) % 2
+            add |= ((even << parity) & ((1 << w - 1) - 1)) << m * w
+            rem |= ((even << 1 - parity) & ~1) << m * w
+        return add, rem
 
 
 def _moves(x: int, add: int, rem: int, k: int) -> list[tuple[int, int]]:
@@ -473,35 +467,6 @@ def induct(v: FockVector, kappa: Multicharge, i: int, k: int = 1) -> FockVector:
         v = v._recoded(beads, v._off + down // _DIGIT)
 
 
-def _conjugate(p: Partition) -> Partition:
-    """The conjugate of ``p``: the part i repeated p_i - p_(i+1) times, the
-    largest i first."""
-    out: list[int] = []
-    below = 0
-    for i in range(len(p), 0, -1):
-        out += [i] * (p[i - 1] - below)
-        below = p[i - 1]
-    return tuple(out)
-
-
-def _distinct_parts(d: int, cap: int) -> Iterator[Partition]:
-    """Partitions of ``d`` into distinct parts of at most ``cap``."""
-    if d == 0:
-        yield ()
-        return
-    for first in range(min(d, cap), 0, -1):
-        if first * (first + 1) < 2 * d:  # 1 + ... + first < d
-            return
-        for rest in _distinct_parts(d - first, first - 1):
-            yield (first,) + rest
-
-
-def _restricted_partitions(d: int) -> list[Partition]:
-    """The 2-restricted partitions of ``d`` in descending reverse-lexicographic
-    order: the conjugates of the partitions of ``d`` into distinct parts."""
-    return sorted(map(_conjugate, _distinct_parts(d, d)), reverse=True)
-
-
 def _top_ladder(mu: Multipartition, charge: int) -> tuple[Multipartition, int, int]:
     """``(mu_minus, i, k)``: the level-1 shape ``mu`` with its top ladder
     removed, the residue of that ladder and its length.
@@ -585,10 +550,12 @@ def canonical_basis(
 
     Each returned vector has coefficient exactly 1 at its index, all other
     coefficients with positive exponents and nonnegative integer terms.
-    The columns of every size up to d are built in turn, in one layout.
-    Column mu starts from F_i^(k) applied to the finished vector of mu with
-    its top ladder removed, which is held only until the last column that
-    starts from it.  The moves of each shape are computed once per size of
+    The columns of every size up to d are built in turn, in one layout:
+    the partitions that :func:`core.partitions` lists and
+    :func:`core.is_2_restricted` keeps, in the order listed.  Column mu
+    starts from F_i^(k) applied to the finished vector of mu with its top
+    ladder removed, which is held only until the last column that starts
+    from it.  The moves of each shape are computed once per size of
     the columns, in ``move_memo``, and the mask of each column once, to
     hand the columns of its size to :func:`_reduce`.
     """
@@ -597,7 +564,7 @@ def canonical_basis(
     if d < 0:
         raise ValueError("size must be nonnegative")
     sizes = [
-        [((mu,), _top_ladder((mu,), kappa[0])) for mu in _restricted_partitions(s)]
+        [((mu,), _top_ladder((mu,), kappa[0])) for mu in partitions(s) if is_2_restricted(mu)]
         for s in range(1, d + 1)
     ]
     uses = Counter(minus for size in sizes for _, (minus, _, _) in size)
@@ -693,11 +660,12 @@ class GradedDecompositionMatrix:
 
 def decomposition_matrix(d: int, kappa: Multicharge = (0,)) -> GradedDecompositionMatrix:
     """Characteristic-0 graded decomposition matrix from the canonical basis,
-    whose vectors all lie in the layout of size d: each row is encoded once
-    in it, and each distinct coefficient code decoded once."""
+    whose vectors all lie in one layout: each row is encoded once in the
+    layout of the first vector, and each distinct coefficient code decoded
+    once."""
     basis = canonical_basis(d, kappa)
     rows = tuple(multipartitions(d, 1))
-    beads = _layout(1, d)
+    beads = basis[0][1]._beads
     row_of = {beads.code(lam): lam for lam in rows}
     decoded: dict[int, dict[int, LaurentPoly]] = {}
     entries = {}

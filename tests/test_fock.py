@@ -27,11 +27,13 @@ from qspecht.laurent import LaurentPoly, ONE, Q, ZERO, q_power
 from qspecht.specht import qdim_specht
 from oracles import (
     addable_nodes,
+    conjugate,
     dense_matrix_json,
     divided_power,
     divided_power_by_division,
     ladder_vector,
     ladder_word,
+    recursive_partitions,
     shape_moves,
 )
 
@@ -635,9 +637,46 @@ def test_long_induction_chains_keep_exact_digit_bounds():
     assert loose >= 1 << 30
 
 
-def test_restricted_partitions_are_the_filtered_partitions():
+def test_restricted_partitions_are_the_conjugates_of_distinct_parts():
+    # the one lister of the columns against an independent construction:
+    # conjugation takes the partitions into distinct parts to the
+    # 2-restricted ones
     for d in range(31):
-        assert fock._restricted_partitions(d) == restricted_partitions(d), d
+        distinct = [p for p in recursive_partitions(d) if len(set(p)) == len(p)]
+        assert restricted_partitions(d) == sorted(map(conjugate, distinct), reverse=True), d
+
+
+def _per_bit_masks(beads, kappa, i):
+    """The i-masks of a layout, bit by bit: a move up from p in the window of
+    a component of charge c adds a node of residue c+p+1-N."""
+    add = rem = 0
+    w = beads.width
+    for m, charge in enumerate(reversed(kappa)):
+        for p in range(w):
+            if (charge + p + 1 - beads.beads - i) % 2 == 0:
+                add |= (p < w - 1) << m * w + p
+            else:
+                rem |= (p > 0) << m * w + p
+    return add, rem
+
+
+def test_the_fock_layer_reads_charges_mod_2():
+    for level in (1, 2, 3):
+        for cap in (8, 16, 64):
+            beads = fock._Beads(level, cap)
+            for kappa in product((-1, 2, 3), repeat=level):
+                reduced = tuple(c % 2 for c in kappa)
+                for i in (0, 1):
+                    assert beads.masks(kappa, i) == _per_bit_masks(beads, kappa, i), (kappa, i)
+                    assert beads.masks(kappa, i) == beads.masks(reduced, i), (kappa, i)
+    for kappa in [(2,), (-1, 0), (0, 1, 3)]:
+        reduced = tuple(c % 2 for c in kappa)
+        for d in range(6):
+            for lam in multipartitions(d, len(kappa)):
+                v = FockVector.basis(lam)
+                for i, k in product((0, 1), (0, 1, 2)):
+                    assert induct(v, kappa, i, k) == induct(v, reduced, i, k), (lam, kappa, i, k)
+    assert canonical_basis(10, (2,)) == canonical_basis(10, (0,))
 
 
 def _unchecked_simples(matrix):

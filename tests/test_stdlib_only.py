@@ -179,3 +179,6 @@ def test_the_signature_has_three_readers_and_the_node_lists_live_in_the_oracles(
         ("crystal.py", "_Interned"),
     }
     assert not defined & {"addable_nodes", "removable_nodes", "contains_node", "residue_of"}
+    # `core.partitions` filtered by `core.is_2_restricted` is the one lister
+    # of the 2-restricted partitions
+    assert not defined & {"_restricted_partitions", "_conjugate", "_distinct_parts"}
