@@ -8,18 +8,13 @@ Conventions used throughout the package:
   agree and its row is larger;
 * the i-signature lists the addable and removable i-nodes in below-order
   (first component's top row first), so signed counts are reproducible;
-* :func:`signatures` is the one node kernel on tuple shapes: it alone
-  decides which cells of a tuple are addable or removable i-nodes, for
-  both residues in one pass over the runs of equal parts.  :func:`steps`
-  gives each node of both signatures, or of the residues its caller names,
-  with its signed count and builds no shape: its callers (the tableau
-  search and the branching recursion) add or remove the nodes.  The
-  crystal reduces both signatures of one component from one call.
-  :func:`degree_contribution` reads the count of one node of the diagram
-  from the signature of its residue, for the literal prefix recursion of a
-  tableau's degree and the sweeps' row-filled degrees.  The Fock space
-  reads the same rule from bead masks (``fock._moves``), and its tests
-  check it against the tuple form read from :func:`steps`;
+* :func:`steps` is the one node kernel on tuple shapes: it alone decides
+  which cells are addable or removable i-nodes, and with what signed count,
+  for both residues in one upward pass.  The tableau search, the branching
+  recursion and the crystal read it; :func:`degree_contribution` recounts
+  its nodes literally, for a tableau's degree and the sweeps' row-filled
+  degrees.  The Fock space reads the same rule from bead masks
+  (``fock._moves``), and its tests check it against :func:`steps`;
 * :func:`check_component_count` is the one shape/charge length check, and
   :func:`check_residues` the one check of a residue sequence against a
   shape;
@@ -129,34 +124,6 @@ def young_nodes(lam: Multipartition) -> Iterator[Node]:
                 yield (a, b, m)
 
 
-def signatures(lam: Multipartition, kappa: Multicharge) -> tuple[list, list]:
-    """The 0- and 1-signatures: addable ('+') and removable ('-') nodes of
-    each residue, in below-order, from one pass over the runs of equal parts.
-
-    A run of part p in rows a..z can only add (a, p+1) and remove (z, p), and
-    the last row of a component adds (len + 1, 1).  Two cells of one row
-    have different residues, so no row holds two nodes of one signature.
-    A component is read once, row by row, for both residues.  The charges
-    may be any integers; only their parity counts.
-    """
-    check_component_count(lam, kappa)
-    out: tuple[list, list] = ([], [])
-    for m, comp in enumerate(lam, start=1):
-        k = kappa[m - 1]
-        last = len(comp)
-        a = 0  # the rows above the run
-        while a < last:
-            p = comp[a]
-            z = a + 1  # the run's last row
-            while z < last and comp[z] == p:
-                z += 1
-            out[(k + p - a) % 2].append(((a + 1, p + 1, m), ADDABLE))
-            out[(k + p - z) % 2].append(((z, p, m), REMOVABLE))
-            a = z
-        out[(k - last) % 2].append(((last + 1, 1, m), ADDABLE))
-    return out
-
-
 def with_node_added(lam: Multipartition, node: Node) -> Multipartition:
     a, b, m = node
     if not (isinstance(a, int) and isinstance(b, int) and isinstance(m, int)):
@@ -176,11 +143,9 @@ def with_node_added(lam: Multipartition, node: Node) -> Multipartition:
 def degree_contribution(lam: Multipartition, kappa: Multicharge, node: Node) -> int:
     """Signed count for a node of the diagram: addable nodes of the node's
     residue strictly below it, minus removable ones strictly below it.
-
-    Summing these contributions over the growth of a standard tableau gives
-    the tableau's degree.  The count is read from the signature of the
-    node's residue over its component and the components after it.
-    """
+    Summing these over the growth of a standard tableau gives its degree.
+    The nodes come from :func:`steps`, whose own counts are not read, so the
+    sweeps' row-filled check stays independent of them."""
     check_shape(lam, kappa)
     a0, b0, m0 = node
     comp = lam[m0 - 1] if 1 <= m0 <= len(lam) else ()
@@ -188,31 +153,44 @@ def degree_contribution(lam: Multipartition, kappa: Multicharge, node: Node) -> 
         raise ValueError(f"node {node!r} is not in the diagram of {lam!r}")
     i = (kappa[m0 - 1] + b0 - a0) % 2
     count = 0
-    for (a, _, m), mark in signatures(lam[m0 - 1 :], kappa[m0 - 1 :])[i]:
+    for (a, _, m), mark, _ in steps(lam[m0 - 1 :], kappa[m0 - 1 :])[i]:
         if m > 1 or a > a0:
             count += 1 if mark == ADDABLE else -1
     return count
 
 
-def steps(
-    lam: Multipartition, kappa: Multicharge, residues: Iterable[int] = RESIDUES
-) -> tuple[list, list]:
-    """For residues 0 and 1, ``(node, mark, count)`` for each node of the
-    signature, lowest first: for an addable node A the signed count of A in
-    lam+A, for a removable one the count of A in lam.  No row holds two
-    signature nodes, and adding A changes only nodes of the other residue,
-    so either count is the '+' minus the '-' strictly after A in the
-    signature of lam.  Only the residues in ``residues`` are listed; the
-    list of any other is left empty.
+def steps(lam: Multipartition, kappa: Multicharge) -> tuple[list, list]:
+    """For residues 0 and 1, ``(node, mark, count)`` for each addable ('+')
+    and removable ('-') node of that residue, lowest first: for an addable
+    node A the signed count of A in lam+A, for a removable one of A in lam.
+    No row holds two nodes of one residue, and adding A changes only nodes
+    of the other, so either count is the '+' minus the '-' strictly below A.
+
+    One upward pass reads each row at most twice: a run of part p in rows
+    a..z can only add (a, p+1) and remove (z, p), and the last row of a
+    component adds (len + 1, 1).  Only the parity of a charge counts.
     """
-    sigs = signatures(lam, kappa)
+    check_component_count(lam, kappa)
     out: tuple[list, list] = ([], [])
-    for i in residues:
-        into = out[i]
-        count = 0
-        for node, mark in reversed(sigs[i]):
-            into.append((node, mark, count))
-            count += 1 if mark == ADDABLE else -1
+    counts = [0, 0]
+    for m in range(len(lam), 0, -1):
+        comp, k = lam[m - 1], kappa[m - 1]
+        z = len(comp)  # the last row of the run, or of the component
+        i = (k - z) % 2
+        out[i].append(((z + 1, 1, m), ADDABLE, counts[i]))
+        counts[i] += 1
+        while z:
+            p = comp[z - 1]
+            a = z - 1  # the rows above the run
+            while a and comp[a - 1] == p:
+                a -= 1
+            i = (k + p - z) % 2
+            out[i].append(((z, p, m), REMOVABLE, counts[i]))
+            counts[i] -= 1
+            i = (k + p - a) % 2
+            out[i].append(((a + 1, p + 1, m), ADDABLE, counts[i]))
+            counts[i] += 1
+            z = a
     return out
 
 
@@ -296,12 +274,19 @@ def partitions(d: int) -> Iterator[Partition]:
 
 
 def _compositions(d: int, length: int) -> Iterator[tuple[int, ...]]:
-    if length == 1:
-        yield (d,)
-        return
-    for first in range(d, -1, -1):
-        for rest in _compositions(d - first, length - 1):
-            yield (first,) + rest
+    """The ways to write d as ``length`` nonnegative parts, in descending
+    lexicographic order, without recursion: the last positive part before
+    the final one gives one to the next part, which also takes the final part."""
+    parts = [d] + [0] * (length - 1)
+    while True:
+        yield tuple(parts)
+        j = length - 2
+        while j >= 0 and not parts[j]:
+            j -= 1
+        if j < 0:
+            return
+        parts[j] -= 1
+        parts[-1], parts[j + 1] = 0, parts[-1] + 1  # j + 1 may be the last index
 
 
 def multipartitions(d: int, level: int) -> Iterator[Multipartition]:

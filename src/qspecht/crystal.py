@@ -13,8 +13,9 @@ test suite pins the convention against that characterisation for d <= 10.
 The cancellation is associative, and what survives of any stretch of the
 signature has the form +^A -^B.  So each component is summarised by its A,
 its B and its lowest surviving '+' for both residues, from one call of the
-node kernel :func:`core.signatures`.  The components are interned per charge
-parity as small ints in ``summary_memo``, a :class:`core.CallMemo` that
+node kernel :func:`core.steps`, whose lists are read top-down.  The
+components are interned per charge parity as small ints in
+``summary_memo``, a :class:`core.CallMemo` that
 :func:`restricted_multipartitions` holds, one summary per index, made on
 first read.  One rule, :func:`_pending`, reads them, for both residues in one
 walk: the good node lies in the last component whose A exceeds the B that the
@@ -42,7 +43,7 @@ from .core import (
     as_partition,
     check_component_count,
     empty_multipartition,
-    signatures,
+    steps,
 )
 
 
@@ -80,10 +81,10 @@ class _Interned:
         if got is None:
             comp = self.comps[at]
             got = ()
-            for sig in signatures((comp,), (self.k,)):
+            for sig in steps((comp,), (self.k,)):
                 A = B = 0
                 good = None
-                for node, mark in sig:
+                for node, mark, _ in reversed(sig):
                     if mark != ADDABLE:
                         B += 1
                     elif B:

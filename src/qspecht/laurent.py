@@ -68,7 +68,10 @@ class LaurentPoly:
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(tuple(sorted(self._terms.items())))
+            terms = self._terms
+            # a constant equals its integer, so it hashes like it too
+            constant = terms.keys() <= {0}
+            self._hash = hash(terms.get(0, 0) if constant else tuple(sorted(terms.items())))
         return self._hash
 
     def __add__(self, other: "LaurentPoly | int") -> "LaurentPoly":

@@ -55,7 +55,7 @@ def _removals(
     ``residues[-1]``."""
     out = []
     wanted = RESIDUES if residues is None else residues[-1:]
-    both = steps(lam, kappa, wanted)
+    both = steps(lam, kappa)
     for i in wanted:
         for (a, b, m), mark, shift in both[i]:
             if mark == REMOVABLE:

@@ -114,7 +114,7 @@ def _search(
         found = moves_of.get(mu)
         if found is None:
             wanted = RESIDUES if target is None else target[r : r + 1]
-            both = steps(mu, kappa, wanted)
+            both = steps(mu, kappa)
             found = moves_of[mu] = sorted(
                 (m, a, b, count)
                 for i in wanted

@@ -304,6 +304,12 @@ def node_signature(lam, kappa, i):
     return marked
 
 
+def kernel_signatures(lam, kappa):
+    """Both signatures as ``core.steps`` gives them, read top-down and
+    without their counts: the form of :func:`node_signature`."""
+    return tuple([(node, mark) for node, mark, _ in reversed(sig)] for sig in steps(lam, kappa))
+
+
 def reduced_signature(lam, kappa, i):
     """The i-signature after the literal stack reduction: scanning
     downwards, each '+' cancels the nearest surviving '-' above it."""
@@ -422,6 +428,17 @@ def tableau_truncations(lam, kappa):
 
     walk(empty_multipartition(len(lam)), (), 0)
     return {seq: LaurentPoly(by_degree) for seq, by_degree in counts.items()}
+
+
+def recursive_compositions(d, length):
+    """The ways to write ``d`` as ``length`` nonnegative parts, by the
+    recursion on the first part, largest first part first."""
+    if length == 1:
+        yield (d,)
+        return
+    for first in range(d, -1, -1):
+        for rest in recursive_compositions(d - first, length - 1):
+            yield (first,) + rest
 
 
 def recursive_partitions(d, cap=None):

@@ -454,16 +454,21 @@ def test_negative_size_is_usage_error(capsys, argv):
     assert captured.out == ""
 
 
+def fresh_process_env():
+    """The environment of a fresh ``python -m qspecht`` that imports this
+    checkout's package."""
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+
+
 def test_reader_closing_the_pipe_early_is_not_an_error():
     # the listing is larger than a pipe buffer, so the writer is still
     # printing when the reader goes away
-    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     proc = subprocess.Popen(
         [sys.executable, "-m", "qspecht", "restricted", "--d", "30", "--charge", "0,1"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=env,
+        env=fresh_process_env(),
     )
     assert proc.stdout.readline() == b"count: 3056\n"
     proc.stdout.close()
@@ -471,6 +476,22 @@ def test_reader_closing_the_pipe_early_is_not_an_error():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 0
     assert b"Traceback" not in stderr
+
+
+@pytest.mark.parametrize("check", ["parity", "hecke"])
+def test_sweep_over_many_components_keeps_the_exit_code_contract(check):
+    # 1,500 components: listing their size compositions once recursed once
+    # per component, past the interpreter's recursion limit
+    charge = ",".join(["1"] + ["0"] * 1499)
+    proc = subprocess.run(
+        [sys.executable, "-m", "qspecht", "verify", check, "--d", "0", "--charge", charge],
+        capture_output=True,
+        env=fresh_process_env(),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-500:]
+    assert b"Traceback" not in proc.stderr
+    assert proc.stdout.startswith(b"check: ")
 
 
 CHARGES = ["0", "1", "0,1", "1,1,0", "", "2", "-1", "0,,1", "a", " 1 , 0 "]

@@ -19,7 +19,6 @@ from qspecht.core import (
     partition_parity,
     partitions,
     residue_node_count,
-    signatures,
     steps,
     with_node_added,
     young_nodes,
@@ -32,8 +31,10 @@ from oracles import (
     brute_residue_node_count,
     even_column_node_count,
     is_below,
+    kernel_signatures,
     node_signature,
     partition_count,
+    recursive_compositions,
     recursive_partitions,
     residue_of,
     with_node_removed,
@@ -42,7 +43,7 @@ from oracles import (
 
 def marked(lam, kappa, i, mark):
     """The i-nodes that the signature marks with ``mark``, in below-order."""
-    return [node for node, m in signatures(lam, kappa)[i] if m == mark]
+    return [node for node, m in kernel_signatures(lam, kappa)[i] if m == mark]
 
 
 @st.composite
@@ -147,23 +148,24 @@ STAIRCASE = tuple(range(30, 0, -1))
 
 
 def test_signature_matches_two_lists_and_sort():
-    # both residues of the run-length pass against the oracle, which tries
-    # every cell of a box around each component: every shape of size <= 9
-    # at levels 1-3, every charge in {0, 1} and two of other integers, then
-    # one run of 40 rows, one row of 40 parts and 30 runs of one row
+    # both residues of the upward run-length pass, read top-down, against
+    # the oracle, which tries every cell of a box around each component:
+    # every shape of size <= 9 at levels 1-3, every charge in {0, 1} and two
+    # of other integers, then one run of 40 rows, one row of 40 parts and 30
+    # runs of one row
     for level in (1, 2, 3):
         charges = list(itertools.product((0, 1), repeat=level))
         charges += [(2, -1, 3)[:level], (-1, 2, -2)[:level]]
         shapes = [lam for d in range(10) for lam in multipartitions(d, level)]
         for kappa in charges:
             for lam in shapes:
-                assert signatures(lam, kappa) == tuple(
+                assert kernel_signatures(lam, kappa) == tuple(
                     node_signature(lam, kappa, i) for i in (0, 1)
                 ), (lam, kappa)
     for lam in [((1,) * 40,), ((40,),), (STAIRCASE,), ((1,) * 40, (), (40,))]:
         for charge in [(0, 1, 0), (1, 0, 1), (2, -1, 3), (-1, 2, -2)]:
             kappa = charge[: len(lam)]
-            assert signatures(lam, kappa) == tuple(
+            assert kernel_signatures(lam, kappa) == tuple(
                 node_signature(lam, kappa, i) for i in (0, 1)
             ), (lam, kappa)
 
@@ -193,17 +195,17 @@ class Reads(tuple):
 
 @pytest.mark.parametrize("comp", [(1,) * 40, (40,), STAIRCASE, (5,) * 9 + (3,) * 17 + (1,)])
 def test_signatures_read_each_row_at_most_twice(comp):
-    # one walk reads each row, and the first row of each run once more;
-    # scanning the tuple once per run would read 30 * 30 parts of the
+    # the upward walk reads each row, and the last row of each run once
+    # more; scanning the tuple once per run would read 30 * 30 parts of the
     # staircase
     Reads.reads = 0
-    assert signatures((Reads(comp),), (0,)) == signatures((comp,), (0,))
+    assert steps((Reads(comp),), (0,)) == steps((comp,), (0,))
     assert Reads.reads <= 2 * len(comp)
 
 
 def test_node_kernel_matches_the_literal_definitions():
     # every node of every shape and every charge: the signed counts read
-    # from `signatures` against the oracle, which tries every cell of a box
+    # from `steps` against the oracle, which tries every cell of a box
     # around each component (the marks themselves are checked by
     # `test_signature_matches_two_lists_and_sort`)
     nodes = 0
@@ -222,8 +224,7 @@ def test_node_kernel_matches_the_literal_definitions():
 def test_steps_match_the_literal_definitions():
     # every i-node with its mark and shift, against the oracle node lists
     # and signed counts: an addable node counted in the grown shape, a
-    # removable one in lam; the list runs upwards from the lowest node.
-    # Asked for one residue, steps leaves the other list empty
+    # removable one in lam; the list runs upwards from the lowest node
     cases = 0
     for level, max_d in ((1, 10), (2, 6), (3, 4)):
         for kappa in itertools.product((0, 1), repeat=level):
@@ -236,9 +237,6 @@ def test_steps_match_the_literal_definitions():
                             count = oracles.degree_contribution(shape, kappa, node)
                             expected.append((node, mark, count))
                         assert steps(lam, kappa)[i] == expected, (lam, kappa, i)
-                        assert steps(lam, kappa, (i,)) == (
-                            (expected, []) if i == 0 else ([], expected)
-                        ), (lam, kappa, i)
                         cases += 1
     assert cases == 2 * (2 * 139 + 4 * 139 + 8 * 86)
 
@@ -351,6 +349,23 @@ def test_multipartitions_examples():
     assert list(multipartitions(0, 2)) == [((), ())]
     assert list(multipartitions(2, 1)) == [((2,),), ((1, 1),)]
     assert len(list(multipartitions(2, 2))) == 5
+
+
+def test_multipartitions_follow_the_recursive_order():
+    # the size compositions in the order of the recursion on the first part,
+    # then the partitions of each composition, rightmost component fastest;
+    # a level past the interpreter's recursion limit is listed too
+    for level in range(1, 5):
+        for d in range(7):
+            expected = [
+                lam
+                for sizes in recursive_compositions(d, level)
+                for lam in itertools.product(*(recursive_partitions(k) for k in sizes))
+            ]
+            assert list(multipartitions(d, level)) == expected, (d, level)
+    wide = list(multipartitions(1, 1500))
+    assert len(wide) == 1500
+    assert wide[0] == ((1,),) + ((),) * 1499 and wide[-1] == ((),) * 1499 + ((1,),)
 
 
 def test_multipartitions_no_duplicates():

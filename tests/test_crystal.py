@@ -10,21 +10,34 @@ from qspecht.core import (
     multipartition_size,
     multipartitions,
     partitions,
-    signatures,
+    steps,
 )
 from qspecht.crystal import add_good_node, restricted_multipartitions
+from oracles import kernel_signatures
 
 K0 = (0,)
 
 
 def test_signature_examples():
-    assert signatures(((1,),), K0) == ([((1, 1, 1), "-")], [((1, 2, 1), "+"), ((2, 1, 1), "+")])
-    assert signatures(((),), K0) == ([((1, 1, 1), "+")], [])
-    assert signatures(((2,),), K0) == ([((1, 3, 1), "+")], [((1, 2, 1), "-"), ((2, 1, 1), "+")])
+    assert kernel_signatures(((1,),), K0) == (
+        [((1, 1, 1), "-")],
+        [((1, 2, 1), "+"), ((2, 1, 1), "+")],
+    )
+    assert kernel_signatures(((),), K0) == ([((1, 1, 1), "+")], [])
+    assert kernel_signatures(((2,),), K0) == (
+        [((1, 3, 1), "+")],
+        [((1, 2, 1), "-"), ((2, 1, 1), "+")],
+    )
+    # the kernel itself lists each signature lowest first, with the '+'
+    # minus the '-' below each node
+    assert steps(((2,),), K0) == (
+        [((1, 3, 1), "+", 0)],
+        [((2, 1, 1), "+", 0), ((1, 2, 1), "-", 1)],
+    )
 
 
 def test_signature_below_order_level_two():
-    for sig in signatures(((2, 1), (1,)), (0, 1)):
+    for sig in kernel_signatures(((2, 1), (1,)), (0, 1)):
         keys = [(node[2], node[0]) for node, _ in sig]
         assert keys == sorted(keys)
 

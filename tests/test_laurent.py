@@ -106,3 +106,12 @@ def test_json_pairs_roundtrip():
 def test_hash_consistency():
     assert hash(Q + ONE) == hash(ONE + Q)
     assert len({Q, ONE + Q - ONE}) == 1
+
+
+@pytest.mark.parametrize("c", [0, 1, -3, 2**40])
+def test_a_constant_hashes_like_the_integer_it_equals(c):
+    # equal values must hash alike, or a set or dict keeps them apart
+    f = LaurentPoly({0: c})
+    assert f == c and hash(f) == hash(c)
+    assert len({f, c}) == 1
+    assert {c: "a"}.get(f) == "a" and {f: "a"}.get(c) == "a"

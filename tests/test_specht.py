@@ -20,7 +20,6 @@ from qspecht.core import (
     degree_parity,
     multipartitions,
     partitions,
-    signatures,
     steps,
 )
 from qspecht.crystal import add_good_node
@@ -199,9 +198,8 @@ def test_level_mismatch_is_a_value_error(lam, kappa):
         qdim_specht(lam, kappa)
     with pytest.raises(ValueError, match="components but charge has"):
         qdim_truncation(lam, kappa, (0,) * sum(map(sum, lam)))
-    for kernel in (signatures, steps):
-        with pytest.raises(ValueError, match="components but charge has"):
-            kernel(lam, kappa)
+    with pytest.raises(ValueError, match="components but charge has"):
+        steps(lam, kappa)
     with pytest.raises(ValueError, match="components but charge has"):
         add_good_node(lam, kappa, 0)
     with pytest.raises(ValueError, match="components but charge has"):
@@ -259,10 +257,10 @@ def test_verify_specht_parity_sweep():
 def test_parity_sweep_catches_counts_that_disagree_with_degree_contribution(monkeypatch):
     # Shifting every step of both residues by 2 keeps each qdim pure of its
     # parity, so only the row-filled degree check can see it.
-    def shifted(lam, kappa, *residues):
+    def shifted(lam, kappa):
         return tuple(
             [(node, mark, count + 2) for node, mark, count in sig]
-            for sig in steps(lam, kappa, *residues)
+            for sig in steps(lam, kappa)
         )
 
     monkeypatch.setattr(specht, "steps", shifted)

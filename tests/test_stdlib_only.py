@@ -154,11 +154,13 @@ def test_only_core_holds_context_variables_and_no_module_reads_anothers_private_
     assert not found
 
 
-def test_the_signature_has_three_readers_and_the_node_lists_live_in_the_oracles():
-    # `core.steps` serves the tableau search and the branching recursion (the
-    # Fock space reads bead masks); `degree_contribution` is the literal
-    # prefix recursion; the crystal summarises one component for both
-    # residues from one call
+def test_the_node_kernel_has_four_readers_and_the_node_lists_live_in_the_oracles():
+    # `core.steps` is the one node kernel on tuple shapes: it serves the
+    # tableau search and the branching recursion (the Fock space reads bead
+    # masks), the crystal summarises one component for both residues from
+    # one call, and `degree_contribution` recounts its nodes for the literal
+    # prefix recursion.  Each call passes the shape and the charge only, and
+    # no second kernel `signatures` is defined
     readers = set()
     defined = set()
     for path in SOURCES:
@@ -171,13 +173,16 @@ def test_the_signature_has_three_readers_and_the_node_lists_live_in_the_oracles(
                 elif isinstance(node, ast.Call):
                     func = node.func
                     name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
-                    if name == "signatures":
+                    if name == "steps":
                         readers.add((path.name, getattr(top, "name", "<module>")))
+                        assert len(node.args) == 2 and not node.keywords, path.name
     assert readers == {
-        ("core.py", "steps"),
         ("core.py", "degree_contribution"),
         ("crystal.py", "_Interned"),
+        ("specht.py", "_removals"),
+        ("tableaux.py", "_search"),
     }
+    assert "signatures" not in defined
     assert not defined & {"addable_nodes", "removable_nodes", "contains_node", "residue_of"}
     # `core.partitions` filtered by `core.is_2_restricted` is the one lister
     # of the 2-restricted partitions
