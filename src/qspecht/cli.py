@@ -177,9 +177,11 @@ def _cmd_restricted(args) -> int:
     groups: dict = {}
     for lam in restricted_multipartitions(args.d, charge):
         groups.setdefault(lam[:-1], []).append(lam[-1])
-    # each distinct component is formatted once, as a shape of one component
+    # each distinct component is formatted once, from one string per part:
+    # the parts of a size-d shape never exceed d
+    parts = [str(p) for p in range(args.d + 1)]
     comps = set().union(*groups, *groups.values())
-    text = {comp: format_multipartition((comp,)) for comp in comps}
+    text = {comp: ",".join([parts[p] for p in comp]) if comp else "-" for comp in comps}
     names = []
     for prefix in sorted(groups):
         head = "".join([text[comp] + "|" for comp in prefix])

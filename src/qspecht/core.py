@@ -10,10 +10,12 @@ Conventions used throughout the package:
   (first component's top row first), so signed counts are reproducible;
 * :func:`steps` is the one node kernel on tuple shapes: it alone decides
   which cells are addable or removable i-nodes, and with what signed count,
-  for both residues in one upward pass.  The tableau search, the branching
-  recursion and the crystal read it; :func:`degree_contribution` recounts
-  its nodes literally, for a tableau's degree and the sweeps' row-filled
-  degrees.  The Fock space reads the same rule from bead masks
+  for both residues in one upward pass.  The tableau search and the
+  branching recursion read it; :func:`degree_contribution` recounts its
+  nodes literally, for a tableau's degree and the sweeps' row-filled
+  degrees.  The crystal folds the same run rule into its component
+  summaries (``crystal._Interned.summary``), which its tests check against
+  the literal stack reduction; the Fock space reads the rule from bead masks
   (``fock._moves``), and its tests check it against :func:`steps`;
 * :func:`check_component_count` is the one shape/charge length check, and
   :func:`check_residues` the one check of a residue sequence against a
@@ -215,13 +217,20 @@ def degree_parity(lam: Multipartition, kappa: Multicharge) -> int:
 
     Computed as the sum of the component parities plus, for each pair of
     components j < m, the number of nodes in component j whose residue equals
-    the charge of component m.
+    the charge of component m.  Folded from the last component, so each pair
+    is not recounted: ``later[i]`` is the parity of the number of components
+    after j whose charge is i, and component j adds ``later[0]`` times its
+    0-nodes plus ``later[1]`` times its 1-nodes, one residue count each.
     """
     check_shape(lam, kappa)
-    total = sum(partition_parity(comp) for comp in lam)
-    for j in range(len(lam)):
-        for m in range(j + 1, len(lam)):
-            total += residue_node_count(lam[j], kappa[j], kappa[m] % 2)
+    total = 0
+    later = [0, 0]
+    for comp, k in zip(reversed(lam), reversed(kappa)):
+        total += partition_parity(comp)
+        if later[0] or later[1]:
+            zeros = residue_node_count(comp, k, 0)
+            total += later[0] * zeros + later[1] * (sum(comp) - zeros)
+        later[k % 2] ^= 1
     return total % 2
 
 

@@ -12,14 +12,15 @@ test suite pins the convention against that characterisation for d <= 10.
 
 The cancellation is associative, and what survives of any stretch of the
 signature has the form +^A -^B.  So each component is summarised by its A,
-its B and its lowest surviving '+' for both residues, from one call of the
-node kernel :func:`core.steps`, whose lists are read top-down.  The
-components are interned per charge parity as small ints in
-``summary_memo``, a :class:`core.CallMemo` that
-:func:`restricted_multipartitions` holds, one summary per index, made on
-first read.  One rule, :func:`_pending`, reads them, for both residues in one
-walk: the good node lies in the last component whose A exceeds the B that the
-components before it leave pending.
+its B and its lowest surviving '+' for both residues, folded in one upward
+pass over its runs of equal parts by the run rule of the node kernel
+:func:`core.steps`, with no node list built; the tests check the fold
+against the literal stack reduction.  The components are interned per
+charge parity as small ints in ``summary_memo``, a :class:`core.CallMemo`
+that :func:`restricted_multipartitions` holds, one summary per index, made
+on first read.  One rule, :func:`_pending`, reads them, for both residues in
+one walk: the good node lies in the last component whose A exceeds the B
+that the components before it leave pending.
 
 The closure moves groups, not multipartitions.  A layer maps each prefix
 (every component but the last) to the set of indices of the last components
@@ -34,7 +35,6 @@ from __future__ import annotations
 from collections import defaultdict
 
 from .core import (
-    ADDABLE,
     RESIDUES,
     CallMemo,
     Multicharge,
@@ -43,7 +43,6 @@ from .core import (
     as_partition,
     check_component_count,
     empty_multipartition,
-    steps,
 )
 
 
@@ -56,6 +55,7 @@ class _Interned:
     A summary is (A0, B0, grown0, A1, B1, grown1): for residue i the
     component's surviving word is +^Ai -^Bi, and growni is the index of the
     component with its lowest surviving '+' added, or None when Ai = 0.
+    :meth:`summary` folds it in one pass over the component's runs.
     """
 
     __slots__ = ("ids", "comps", "summaries", "k")
@@ -75,26 +75,53 @@ class _Interned:
         return at
 
     def summary(self, at: int) -> tuple:
-        """The summary of the component at index ``at``, from one kernel
-        call for both residues."""
+        """The summary of the component at index ``at``, from one upward
+        pass over its runs of equal parts for both residues.
+
+        The run rule of :func:`core.steps`: the bottom row adds (len + 1, 1),
+        and a run of part p in rows a..z removes (z, p) and adds (a + 1, p + 1).
+        Read upwards, a '-' cancels the nearest unmatched '+' below it, so
+        per residue i the pass keeps the unmatched '+' (Ai at the end), the
+        unmatched '-' (Bi), and the row index of the last '+' pushed while
+        no '+' was unmatched: the lowest surviving '+' once the pass ends.
+        """
         got = self.summaries[at]
         if got is None:
-            comp = self.comps[at]
-            got = ()
-            for sig in steps((comp,), (self.k,)):
-                A = B = 0
-                good = None
-                for node, mark, _ in reversed(sig):
-                    if mark != ADDABLE:
-                        B += 1
-                    elif B:
-                        B -= 1
+            comp, k = self.comps[at], self.k
+            n = z = len(comp)
+            A0 = B0 = A1 = B1 = 0
+            r0 = r1 = n
+            if (k - z) % 2:
+                A1 = 1
+            else:
+                A0 = 1
+            while z:
+                p = comp[z - 1]
+                a = comp.index(p)  # the rows above the run: parts weakly decrease
+                if (k + p - z) % 2:  # removes (z, p)
+                    if A1:
+                        A1 -= 1
                     else:
-                        A, good = A + 1, node
-                if good is not None:
-                    # an addable node (a, b) ends row a, or opens row len(comp) + 1
-                    a, b, _ = good
-                    good = self.index(comp[: a - 1] + (b,) + comp[a:])
+                        B1 += 1
+                elif A0:
+                    A0 -= 1
+                else:
+                    B0 += 1
+                if (k + p - a) % 2:  # adds (a + 1, p + 1)
+                    if not A1:
+                        r1 = a
+                    A1 += 1
+                else:
+                    if not A0:
+                        r0 = a
+                    A0 += 1
+                z = a
+            got = ()
+            for A, B, r in ((A0, B0, r0), (A1, B1, r1)):
+                good = None
+                if A:  # the good node ends row r + 1, or opens row n + 1
+                    part = comp[r] + 1 if r < n else 1
+                    good = self.index(comp[:r] + (part,) + comp[r + 1 :])
                 got += (A, B, good)
             self.summaries[at] = got
         return got

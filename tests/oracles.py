@@ -102,6 +102,18 @@ def brute_residue_node_count(p, charge, i):
     )
 
 
+def pairwise_degree_parity(lam, kappa):
+    """The combinatorial parity of ``lam`` by its pairwise formula: the
+    even-column nodes of every component, plus, for each pair of components
+    j < m, the nodes of component j whose residue is the charge of
+    component m, all mod 2."""
+    total = sum(brute_even_column_node_count(comp) for comp in lam)
+    for j in range(len(lam)):
+        for m in range(j + 1, len(lam)):
+            total += brute_residue_node_count(lam[j], kappa[j], kappa[m] % 2)
+    return total % 2
+
+
 def contains_node(lam, node):
     """True if ``node`` is a cell of the diagram of ``lam``."""
     a, b, m = node

@@ -303,6 +303,31 @@ def test_restricted_lists_the_sorted_set(capsys):
                 assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n", (d, kappa)
 
 
+def test_restricted_formats_parts_from_one_table(capsys):
+    # the listing against format_multipartition on the sorted set: every
+    # charge in {0, 1} at levels 1-3 and d <= 12, where empty components
+    # occur, and level 1 at d = 55, the first size with a part of 10
+    cases = [(d, kappa) for level in (1, 2, 3)
+             for kappa in product((0, 1), repeat=level) for d in range(13)]
+    parts, empty = set(), False
+    for d, kappa in cases + [(55, (0,)), (55, (1,))]:
+        layer = sorted(restricted_multipartitions(d, kappa))
+        parts.update(p for lam in layer for comp in lam for p in comp)
+        empty = empty or any(not comp for lam in layer for comp in lam)
+        names = [format_multipartition(lam) for lam in layer]
+        charge = ",".join(map(str, kappa))
+        code, out = run(capsys, "restricted", "--d", str(d), "--charge", charge)
+        assert code == 0
+        assert out == "\n".join([f"count: {len(names)}"] + names) + "\n", (d, kappa)
+        code, out = run(
+            capsys, "restricted", "--d", str(d), "--charge", charge, "--format", "json"
+        )
+        assert code == 0
+        payload = {"d": d, "charge": list(kappa), "restricted": names}
+        assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n", (d, kappa)
+    assert max(parts) >= 10 and empty
+
+
 class CountingWriter(io.StringIO):
     def __init__(self):
         super().__init__()
@@ -492,6 +517,20 @@ def test_sweep_over_many_components_keeps_the_exit_code_contract(check):
     assert proc.returncode == 0, proc.stderr[-500:]
     assert b"Traceback" not in proc.stderr
     assert proc.stdout.startswith(b"check: ")
+
+
+def test_parity_sweep_over_a_thousand_components_is_linear_in_the_level():
+    # degree_parity folds the later components' charges once per shape; a
+    # recount per pair of components takes minutes at this level
+    charge = ",".join("01"[m % 2] for m in range(1000))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qspecht", "verify", "parity", "--d", "1", "--charge", charge],
+        capture_output=True,
+        env=fresh_process_env(),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr[-500:]
+    assert proc.stdout.endswith(b"result: ok\n")
 
 
 CHARGES = ["0", "1", "0,1", "1,1,0", "", "2", "-1", "0,,1", "a", " 1 , 0 "]

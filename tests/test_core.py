@@ -310,6 +310,17 @@ def test_level_one_parity_counts_even_columns():
             assert degree_parity((p,), (0,)) == even_column_node_count(p) % 2
 
 
+def test_degree_parity_matches_the_pairwise_formula():
+    # the fold from the last component against every pair recounted
+    charges = [kappa for level in (1, 2, 3, 4)
+               for kappa in itertools.product((0, 1), repeat=level)]
+    for kappa in charges + [(2, -1), (3, 0, 2)]:
+        for d in range(7):
+            for lam in multipartitions(d, len(kappa)):
+                expected = oracles.pairwise_degree_parity(lam, kappa)
+                assert degree_parity(lam, kappa) == expected, (lam, kappa)
+
+
 def test_residue_node_count_against_node_scan():
     for d in range(10):
         for p in partitions(d):

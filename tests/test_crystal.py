@@ -11,6 +11,7 @@ from qspecht.core import (
     multipartitions,
     partitions,
     steps,
+    with_node_added,
 )
 from qspecht.crystal import add_good_node, restricted_multipartitions
 from oracles import kernel_signatures
@@ -82,6 +83,32 @@ def test_add_good_node_matches_the_stack_reduction(level, top):
         assert crystal.summary_memo.get() is not crystal.summary_memo.get()
         for lam, i, grown in cases:
             assert add_good_node(lam, kappa, i) == grown, (lam, kappa, i)
+
+
+def oracle_summary(comp, k):
+    """(A0, B0, grown0, A1, B1, grown1) of one component of charge k, read
+    from the literal stack reduction of each signature."""
+    out = ()
+    for i in (0, 1):
+        reduced = oracles.reduced_signature((comp,), (k,), i)
+        plus = [node for node, mark in reduced if mark == "+"]
+        grown = with_node_added((comp,), plus[-1])[0] if plus else None
+        out += (len(plus), len(reduced) - len(plus), grown)
+    return out
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_component_summary_matches_the_stack_reduction(k):
+    # every partition of size <= 12, the 40-row column, the 40-part row and
+    # the staircase (12, 11, ..., 1)
+    shapes = [p for d in range(13) for p in partitions(d)]
+    shapes += [(1,) * 40, (40,), tuple(range(12, 0, -1))]
+    table = crystal._Interned(k)
+    for comp in shapes:
+        A0, B0, g0, A1, B1, g1 = table.summary(table.index(comp))
+        grown0 = None if g0 is None else table.comps[g0]
+        grown1 = None if g1 is None else table.comps[g1]
+        assert (A0, B0, grown0, A1, B1, grown1) == oracle_summary(comp, k), comp
 
 
 def test_charges_count_modulo_two():

@@ -154,13 +154,13 @@ def test_only_core_holds_context_variables_and_no_module_reads_anothers_private_
     assert not found
 
 
-def test_the_node_kernel_has_four_readers_and_the_node_lists_live_in_the_oracles():
+def test_the_node_kernel_has_three_readers_and_the_node_lists_live_in_the_oracles():
     # `core.steps` is the one node kernel on tuple shapes: it serves the
     # tableau search and the branching recursion (the Fock space reads bead
-    # masks), the crystal summarises one component for both residues from
-    # one call, and `degree_contribution` recounts its nodes for the literal
-    # prefix recursion.  Each call passes the shape and the charge only, and
-    # no second kernel `signatures` is defined
+    # masks, the crystal folds the run rule into its component summaries),
+    # and `degree_contribution` recounts its nodes for the literal prefix
+    # recursion.  Each call passes the shape and the charge only, and no
+    # second kernel `signatures` is defined
     readers = set()
     defined = set()
     for path in SOURCES:
@@ -178,10 +178,17 @@ def test_the_node_kernel_has_four_readers_and_the_node_lists_live_in_the_oracles
                         assert len(node.args) == 2 and not node.keywords, path.name
     assert readers == {
         ("core.py", "degree_contribution"),
-        ("crystal.py", "_Interned"),
         ("specht.py", "_removals"),
         ("tableaux.py", "_search"),
     }
+    crystal = ast.parse((SOURCES[0].parent / "crystal.py").read_text())
+    imported = {
+        alias.name
+        for node in ast.walk(crystal)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert not imported & {"steps", "ADDABLE"}
     assert "signatures" not in defined
     assert not defined & {"addable_nodes", "removable_nodes", "contains_node", "residue_of"}
     # `core.partitions` filtered by `core.is_2_restricted` is the one lister
