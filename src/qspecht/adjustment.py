@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Multicharge, Partition, as_partition, degree_parity
+from .core import Multicharge, Partition, as_partition, multipartition_parity
 from .laurent import LaurentPoly, ZERO, q_power
 from .specht import qdim_specht, qdim_truncation
 from .tableaux import residue_sequence, row_filled_tableau
@@ -72,8 +72,8 @@ def candidate_entries(ev: AdjustmentEvidence, kappa: Multicharge) -> list[Lauren
 
     Returned sorted by exponent profile for determinism.
     """
-    bound = default_bound(ev, kappa)
-    parity = (degree_parity((ev.lam,), kappa) + degree_parity((ev.mu,), kappa)) % 2
+    bound = default_bound(ev, kappa)  # checks the charge against the shape (ev.lam,)
+    parity = (multipartition_parity((ev.lam,), kappa) + multipartition_parity((ev.mu,), kappa)) % 2
     exponents = [m for m in range(1, bound + 1) if m % 2 == parity]
     found: list[LaurentPoly] = []
 

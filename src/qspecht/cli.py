@@ -20,8 +20,8 @@ from .core import (
     as_multicharge,
     check_component_count,
     check_residues,
-    degree_parity,
     format_multipartition,
+    multipartition_parity,
     parse_multipartition,
     parse_residues,
 )
@@ -87,7 +87,7 @@ def _cmd_qdim(args) -> int:
     payload = {
         "lambda": format_multipartition(lam),
         "charge": list(charge),
-        "parity": degree_parity(lam, charge),
+        "parity": multipartition_parity(lam, charge),
         "qdim": poly.to_pairs(),
     }
     _emit(payload, [str(poly)], args.format)
@@ -210,7 +210,7 @@ def _cmd_llt(args) -> int:
     except InternalConsistencyError as err:
         simples = {}
         violations.append(f"simple qdims: {err}")
-    parity = {lam: degree_parity(lam, charge) for lam in (*matrix.rows, *matrix.cols)}
+    parity = {lam: multipartition_parity(lam, charge) for lam in (*matrix.rows, *matrix.cols)}
     cells = matrix.nonzero_cells()  # a zero entry is pure of either parity
     for r, c, entry in cells:
         lam, mu = matrix.rows[r], matrix.cols[c]

@@ -17,9 +17,15 @@ Conventions used throughout the package:
   summaries (``crystal._Interned.summary``), which its tests check against
   the literal stack reduction; the Fock space reads the rule from bead masks
   (``fock._moves``), and its tests check it against :func:`steps`;
-* :func:`check_component_count` is the one shape/charge length check, and
-  :func:`check_residues` the one check of a residue sequence against a
-  shape;
+* validation happens once, at the boundary: the CLI parsers and the
+  exported entry points check their own arguments, through
+  :func:`check_shape` (one partition tuple per integer charge, built from
+  :func:`check_multipartition`, :func:`check_charge` and
+  :func:`check_component_count`), :func:`check_residues`,
+  :func:`check_size` and :func:`check_node`.  The kernels they hand the
+  checked data to (:func:`steps`, :func:`multipartition_parity`, the
+  branching recursion, the tableau search, the crystal's summaries and the
+  Fock moves) trust it and check nothing;
 * :class:`CallMemo` is the one per-call memo: its state is keyed by all it
   depends on, the calls inside a held block share it, a nested block shares
   the enclosing block's, and none outlives the outermost block.
@@ -39,6 +45,7 @@ Multicharge = tuple[int, ...]
 Node = tuple[int, int, int]
 
 RESIDUES = (0, 1)
+_INTS = (int, int, int)  # the coordinate types of a node
 ADDABLE = "+"
 REMOVABLE = "-"
 
@@ -71,21 +78,43 @@ class CallMemo(Generic[State]):
 def as_partition(parts: Iterable[int]) -> Partition:
     """Validate and normalise a weakly decreasing tuple of positive parts."""
     p = tuple(parts)
-    for k, part in enumerate(p):
+    above = p[0] if p else 0
+    for part in p:
         if not isinstance(part, int) or part < 1:
             raise ValueError(f"partition parts must be positive integers, got {p!r}")
-        if k > 0 and p[k - 1] < part:
+        if part > above:
             raise ValueError(f"partition parts must be weakly decreasing, got {p!r}")
+        above = part
     return p
 
 
 def as_multicharge(charges: Iterable[int]) -> Multicharge:
+    """The CLI's charge: a nonempty tuple of residues 0 and 1."""
     kappa = tuple(charges)
-    if not kappa:
-        raise ValueError("a multicharge needs at least one component")
+    check_charge(kappa)
     if any(k not in RESIDUES for k in kappa):
         raise ValueError(f"charges must lie in {{0, 1}}, got {kappa!r}")
     return kappa
+
+
+def check_charge(kappa: Multicharge) -> None:
+    """Reject a charge that is not a nonempty sequence of integers; the
+    library reads each entry mod 2."""
+    if not kappa:
+        raise ValueError("a multicharge needs at least one component")
+    for k in kappa:
+        if not isinstance(k, int):
+            raise ValueError(f"charges must be integers, got {kappa!r}")
+
+
+def check_multipartition(lam: Multipartition) -> None:
+    """Reject anything but a nonempty tuple of partitions, each a tuple."""
+    if not (isinstance(lam, tuple) and lam):
+        raise ValueError(f"{lam!r} is not a multipartition; a level-1 shape p is (p,)")
+    for comp in lam:
+        if not isinstance(comp, tuple):
+            raise ValueError(f"{lam!r} is not a multipartition; a level-1 shape p is (p,)")
+        as_partition(comp)
 
 
 def check_component_count(lam: Multipartition, kappa: Multicharge) -> None:
@@ -95,10 +124,24 @@ def check_component_count(lam: Multipartition, kappa: Multicharge) -> None:
 
 
 def check_shape(lam: Multipartition, kappa: Multicharge) -> None:
-    """Reject a shape that is not one partition per charge."""
+    """Reject a shape that is not one partition per integer charge."""
+    check_charge(kappa)
+    check_multipartition(lam)
     check_component_count(lam, kappa)
-    for comp in lam:
-        as_partition(comp)
+
+
+def check_size(d: int) -> None:
+    """Reject a size that is not a nonnegative integer."""
+    if not isinstance(d, int):
+        raise ValueError(f"size must be an integer, got {d!r}")
+    if d < 0:
+        raise ValueError("size must be nonnegative")
+
+
+def check_node(node: Node) -> None:
+    """Reject a node that is not a tuple of three integer coordinates."""
+    if not (isinstance(node, tuple) and len(node) == 3 and all(map(isinstance, node, _INTS))):
+        raise ValueError(f"a node is a triple of integers, got {node!r}")
 
 
 def multipartition_size(lam: Multipartition) -> int:
@@ -127,9 +170,8 @@ def young_nodes(lam: Multipartition) -> Iterator[Node]:
 
 
 def with_node_added(lam: Multipartition, node: Node) -> Multipartition:
+    check_node(node)
     a, b, m = node
-    if not (isinstance(a, int) and isinstance(b, int) and isinstance(m, int)):
-        raise ValueError(f"node coordinates must be integers, got {node!r}")
     if not 1 <= m <= len(lam):
         raise ValueError(f"component {m} out of range for {lam!r}")
     comp = list(lam[m - 1])
@@ -149,6 +191,7 @@ def degree_contribution(lam: Multipartition, kappa: Multicharge, node: Node) -> 
     The nodes come from :func:`steps`, whose own counts are not read, so the
     sweeps' row-filled check stays independent of them."""
     check_shape(lam, kappa)
+    check_node(node)
     a0, b0, m0 = node
     comp = lam[m0 - 1] if 1 <= m0 <= len(lam) else ()
     if not (1 <= a0 <= len(comp) and 1 <= b0 <= comp[a0 - 1]):
@@ -170,9 +213,9 @@ def steps(lam: Multipartition, kappa: Multicharge) -> tuple[list, list]:
 
     One upward pass reads each row at most twice: a run of part p in rows
     a..z can only add (a, p+1) and remove (z, p), and the last row of a
-    component adds (len + 1, 1).  Only the parity of a charge counts.
+    component adds (len + 1, 1).  Only the parity of a charge counts.  The
+    arguments are trusted: one partition tuple per integer charge.
     """
-    check_component_count(lam, kappa)
     out: tuple[list, list] = ([], [])
     counts = [0, 0]
     for m in range(len(lam), 0, -1):
@@ -213,7 +256,14 @@ def residue_node_count(p: Partition, charge: int, i: int) -> int:
 
 def degree_parity(lam: Multipartition, kappa: Multicharge) -> int:
     """Combinatorial parity of a multipartition: the common value, mod 2, of
-    the degrees of its standard tableaux.
+    the degrees of its standard tableaux (:func:`multipartition_parity` of
+    a checked shape)."""
+    check_shape(lam, kappa)
+    return multipartition_parity(lam, kappa)
+
+
+def multipartition_parity(lam: Multipartition, kappa: Multicharge) -> int:
+    """:func:`degree_parity` of a shape the caller has checked.
 
     Computed as the sum of the component parities plus, for each pair of
     components j < m, the number of nodes in component j whose residue equals
@@ -222,7 +272,6 @@ def degree_parity(lam: Multipartition, kappa: Multicharge) -> int:
     after j whose charge is i, and component j adds ``later[0]`` times its
     0-nodes plus ``later[1]`` times its 1-nodes, one residue count each.
     """
-    check_shape(lam, kappa)
     total = 0
     later = [0, 0]
     for comp, k in zip(reversed(lam), reversed(kappa)):
@@ -251,8 +300,7 @@ def partitions(d: int) -> Iterator[Partition]:
     partitions": the last part above 1 drops by one, and the 1s after it
     are regrouped greedily into parts of its new size, the remainder last.
     """
-    if d < 0:
-        raise ValueError("size must be nonnegative")
+    check_size(d)
     if d == 0:
         yield ()
         return
@@ -305,15 +353,18 @@ def multipartitions(d: int, level: int) -> Iterator[Multipartition]:
     lexicographic order; within a composition, the Cartesian product of the
     per-component reverse-lexicographic lists, rightmost component fastest.
     Downstream matrices index by this order, so it is stable by contract.
+    The partitions of each size are listed once, when a composition first
+    needs them.
     """
-    if level < 1:
-        raise ValueError("level must be at least 1")
-    if d < 0:
-        raise ValueError("size must be nonnegative")
+    if not isinstance(level, int) or level < 1:
+        raise ValueError("level must be an integer of at least 1")
+    check_size(d)
+    pools: dict[int, list[Partition]] = {}
     for sizes in _compositions(d, level):
-        pools = [list(partitions(k)) for k in sizes]
-        for combo in itertools.product(*pools):
-            yield combo
+        for k in sizes:
+            if k not in pools:
+                pools[k] = list(partitions(k))
+        yield from itertools.product(*[pools[k] for k in sizes])
 
 
 def format_multipartition(lam: Multipartition) -> str:

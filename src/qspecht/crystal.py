@@ -40,8 +40,9 @@ from .core import (
     Multicharge,
     Multipartition,
     Partition,
-    as_partition,
-    check_component_count,
+    check_charge,
+    check_shape,
+    check_size,
     empty_multipartition,
 )
 
@@ -159,12 +160,8 @@ def add_good_node(
     """Add the good addable i-node, or return None if there is none."""
     if i not in RESIDUES:
         raise ValueError(f"residues must be 0 or 1, got {i!r}")
-    check_component_count(lam, kappa)
-    memo = summary_memo.get()
-    for m, comp in enumerate(lam):
-        if comp not in memo[kappa[m] % 2].ids:
-            as_partition(comp)  # once per component the memo holds
-    _, good = _pending(memo, lam, kappa)[i]
+    check_shape(lam, kappa)
+    _, good = _pending(summary_memo.get(), lam, kappa)[i]
     if good is None:
         return None
     at, grown = good
@@ -174,10 +171,8 @@ def add_good_node(
 def restricted_multipartitions(d: int, kappa: Multicharge) -> set[Multipartition]:
     """The size-d layer of the closure of the empty multipartition under the
     good-node adding operators, one breadth-first layer per size."""
-    if d < 0:
-        raise ValueError("size must be nonnegative")
-    if not kappa:
-        raise ValueError("a multicharge needs at least one component")
+    check_size(d)
+    check_charge(kappa)
     empty = empty_multipartition(len(kappa))
     with summary_memo.held() as memo:
         table = memo[kappa[-1] % 2]

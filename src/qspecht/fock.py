@@ -86,8 +86,10 @@ from .core import (
     CallMemo,
     Multicharge,
     Multipartition,
-    as_partition,
+    check_charge,
     check_component_count,
+    check_multipartition,
+    check_size,
     empty_multipartition,
     format_multipartition,
     is_2_restricted,
@@ -241,16 +243,6 @@ def _layout(level: int, size: int) -> _Beads:
     return _Beads(level, max(8, 1 << (size - 1).bit_length()))
 
 
-def _key(mu: Multipartition) -> Multipartition:
-    """``mu``, which must be a tuple of partitions: a bare partition, or a
-    component that is not a partition, is refused."""
-    if not mu or not all(isinstance(comp, tuple) for comp in mu):
-        raise ValueError(f"{mu!r} is not a multipartition; a level-1 shape p is (p,)")
-    for comp in mu:
-        as_partition(comp)
-    return mu
-
-
 class FockVector:
     """Finitely supported map from multipartitions of one level to Laurent
     polynomials, held as bead masks and Kronecker codes at one digit offset,
@@ -267,7 +259,7 @@ class FockVector:
         sums: dict[Multipartition, LaurentPoly] = {}
         for mu, coeff in items:
             if coeff:
-                mu = _key(mu)
+                check_multipartition(mu)
                 sums[mu] = sums[mu] + coeff if mu in sums else coeff
         pairs = [(mu, coeff) for mu, coeff in sums.items() if coeff]
         self._beads, self._terms, self._top, self._off, self._bound = None, {}, 0, _OFF, 0
@@ -320,7 +312,8 @@ class FockVector:
         return cls({mu: ONE})
 
     def coefficient(self, mu: Multipartition) -> LaurentPoly:
-        mu, beads = _key(mu), self._beads
+        check_multipartition(mu)
+        beads = self._beads
         if beads is None or len(mu) != beads.level or multipartition_size(mu) > beads.cap:
             return ZERO
         return _poly(self._terms.get(beads.code(mu), 0), self._off)
@@ -425,16 +418,15 @@ def induct(v: FockVector, kappa: Multicharge, i: int, k: int = 1) -> FockVector:
     ``v``, so its digits are at most the bound of ``v`` times the number of
     its terms; if that reaches 2^30 even with the exact bound, it raises.
     """
-    if k < 0:
-        raise ValueError("the power must be nonnegative")
-    if k == 0:
-        return v
+    if not isinstance(k, int) or k < 0:
+        raise ValueError("the power must be a nonnegative integer")
     if i not in RESIDUES:
         raise ValueError(f"residues must be 0 or 1, got {i!r}")
-    beads = v._beads
-    if beads is None:
-        return v
     kappa = tuple(kappa)
+    check_charge(kappa)
+    beads = v._beads
+    if k == 0 or beads is None:
+        return v
     check_component_count(empty_multipartition(beads.level), kappa)
     if v._bound * len(v._terms) >= _GUARD:
         v = v._tightened()
@@ -559,10 +551,10 @@ def canonical_basis(
     the columns, in ``move_memo``, and the mask of each column once, to
     hand the columns of its size to :func:`_reduce`.
     """
+    check_charge(kappa)
     if len(kappa) != 1:
         raise ValueError("the canonical-basis computation is level-1 only")
-    if d < 0:
-        raise ValueError("size must be nonnegative")
+    check_size(d)
     sizes = [
         [((mu,), _top_ladder((mu,), kappa[0])) for mu in partitions(s) if is_2_restricted(mu)]
         for s in range(1, d + 1)

@@ -91,7 +91,7 @@ class LaurentPoly:
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -c for e, c in self._terms.items()})
+        return LaurentPoly.from_clean({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         if isinstance(other, int):
@@ -123,7 +123,7 @@ class LaurentPoly:
 
     def bar(self) -> "LaurentPoly":
         """The involution q -> q^-1 (negate all exponents)."""
-        return LaurentPoly({-e: c for e, c in self._terms.items()})
+        return LaurentPoly.from_clean({-e: c for e, c in self._terms.items()})
 
     def eval_at_one(self) -> int:
         return sum(self._terms.values())

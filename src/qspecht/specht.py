@@ -15,11 +15,21 @@ stack, so a shape of any size is in reach.
 The counts are memoized by (charge, subdiagram) in ``qdim_memo``, a
 :class:`core.CallMemo` that the sweeps and :func:`fock.simple_qdims` hold.
 
+The exported functions check their arguments once, through
+:func:`core.check_shape` and its siblings, and hand them to the recursion,
+which trusts them; its counts are positive integers by construction, so a
+graded dimension adopts them with :meth:`LaurentPoly.from_clean`.  A sweep
+checks its charge and size, and reads each shape's parity from
+:func:`core.multipartition_parity`, since :func:`core.multipartitions` made
+the shape; it still reads each graded dimension through
+:func:`qdim_specht`, which checks the shape again.
+
 The sweeps also read the degree of each shape's row-filled tableau from
-:func:`core.degree_contribution`, the literal per-node count.  The last entry
-of that tableau sits at the last node A of the last nonempty row, and the
-entries before it form the row-filled tableau of lam - A, so a sweep reads
-one count per distinct prefix and keeps the degrees in a dict of its own.
+:func:`core.degree_contribution`, the literal per-node count, which checks
+each prefix it is given.  The last entry of that tableau sits at the last
+node A of the last nonempty row, and the entries before it form the
+row-filled tableau of lam - A, so a sweep reads one count per distinct
+prefix and keeps the degrees in a dict of its own.
 """
 
 from __future__ import annotations
@@ -32,15 +42,17 @@ from .core import (
     CallMemo,
     Multicharge,
     Multipartition,
+    check_charge,
     check_residues,
     check_shape,
+    check_size,
     degree_contribution,
-    degree_parity,
     format_multipartition,
+    multipartition_parity,
     multipartitions,
     steps,
 )
-from .laurent import LaurentPoly
+from .laurent import ZERO, LaurentPoly
 
 # Degree counts {degree: number of tableaux}; state[kappa] maps shapes to them.
 Counts = dict[int, int]
@@ -109,7 +121,8 @@ def qdim_specht(lam: Multipartition, kappa: Multicharge) -> LaurentPoly:
     """Graded dimension of the Specht module: the degree-generating function
     q^deg(t) summed over all standard tableaux of the shape."""
     check_shape(lam, kappa)
-    return LaurentPoly(_branch(lam, kappa, qdim_memo.get().setdefault(tuple(kappa), {})))
+    memo = qdim_memo.get().setdefault(tuple(kappa), {})
+    return LaurentPoly.from_clean(dict(_branch(lam, kappa, memo)))
 
 
 def qdim_truncation(
@@ -119,7 +132,7 @@ def qdim_truncation(
     over the standard tableaux with the given residue sequence."""
     check_shape(lam, kappa)
     check_residues(lam, residues)
-    return LaurentPoly(_branch(lam, kappa, {}, tuple(residues)))
+    return LaurentPoly.from_clean(dict(_branch(lam, kappa, {}, tuple(residues))))
 
 
 def qdim_hecke(d: int, kappa: Multicharge) -> LaurentPoly:
@@ -129,7 +142,7 @@ def qdim_hecke(d: int, kappa: Multicharge) -> LaurentPoly:
     At q = 1 this is l^d * d! (checked by :func:`verify_hecke_even`).  The
     shapes share one memo.
     """
-    total: LaurentPoly = LaurentPoly()
+    total = ZERO
     with qdim_memo.held():
         for lam in multipartitions(d, len(kappa)):
             s = qdim_specht(lam, kappa)
@@ -191,7 +204,7 @@ def _parity_violation(
     """The qdim must be pure of the shape's parity and count the row-filled
     tableau at its degree, which ties :func:`core.steps` to the per-node degree."""
     qdim = qdim_specht(lam, kappa)
-    parity = degree_parity(lam, kappa)
+    parity = multipartition_parity(lam, kappa)
     if not qdim.is_pure_parity(parity):
         return f"{format_multipartition(lam)}: qdim {qdim} not pure of parity {parity}"
     deg = _row_filled_degree(lam, kappa, row_degrees)
@@ -204,7 +217,7 @@ def _row_degree_violation(
     lam: Multipartition, kappa: Multicharge, row_degrees: dict[Multipartition, int]
 ) -> str | None:
     deg = _row_filled_degree(lam, kappa, row_degrees)
-    parity = degree_parity(lam, kappa)
+    parity = multipartition_parity(lam, kappa)
     if deg % 2 != parity:
         return f"{format_multipartition(lam)}: row-filled degree {deg} vs parity {parity}"
     return None
@@ -213,6 +226,7 @@ def _row_degree_violation(
 def _sweep(check: str, checker, d: int, kappa: Multicharge) -> SweepReport:
     """Run ``checker`` on every shape of size d; the shapes share one
     graded-dimension memo and one dict of row-filled degrees."""
+    check_charge(kappa)
     shapes = list(multipartitions(d, len(kappa)))
     row_degrees: dict[Multipartition, int] = {}
     with qdim_memo.held():
@@ -242,8 +256,8 @@ def verify_row_degree_parity(d: int, kappa: Multicharge) -> SweepReport:
 def verify_hecke_even(max_d: int, kappa: Multicharge) -> SweepReport:
     """Check for every rank up to max_d that the algebra's graded dimension
     has no odd-degree part and evaluates at 1 to l^d * d!."""
-    if max_d < 0:
-        raise ValueError("size must be nonnegative")
+    check_size(max_d)
+    check_charge(kappa)
     violations = []
     level = len(kappa)
     factorial = 1

@@ -24,7 +24,6 @@ from .core import (
     Multicharge,
     Multipartition,
     Node,
-    check_component_count,
     check_residues,
     check_shape,
     degree_contribution,
@@ -163,7 +162,7 @@ def standard_tableaux_with_degrees(
 def residue_sequence(t: StandardTableau, kappa: Multicharge) -> tuple[int, ...]:
     """Entrywise residues of the occupied nodes.  The walk checks the
     tableau as it goes."""
-    check_component_count(t.shape, kappa)
+    check_shape(t.shape, kappa)
     return tuple((kappa[m - 1] + b - a) % 2 for _, (a, b, m) in t._walk())
 
 
@@ -171,5 +170,5 @@ def degree(t: StandardTableau, kappa: Multicharge) -> int:
     """Degree of a standard tableau, by the literal recursion over prefixes:
     the signed node count of the last-placed entry in the grown shape, plus
     the degree of the rest.  The walk checks the tableau as it goes."""
-    check_component_count(t.shape, kappa)
+    check_shape(t.shape, kappa)
     return sum(degree_contribution(partial, kappa, node) for partial, node in t._walk())

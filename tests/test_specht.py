@@ -199,8 +199,6 @@ def test_level_mismatch_is_a_value_error(lam, kappa):
     with pytest.raises(ValueError, match="components but charge has"):
         qdim_truncation(lam, kappa, (0,) * sum(map(sum, lam)))
     with pytest.raises(ValueError, match="components but charge has"):
-        steps(lam, kappa)
-    with pytest.raises(ValueError, match="components but charge has"):
         add_good_node(lam, kappa, 0)
     with pytest.raises(ValueError, match="components but charge has"):
         degree_contribution(lam, kappa, (1, 1, 1))

@@ -194,3 +194,71 @@ def test_the_node_kernel_has_three_readers_and_the_node_lists_live_in_the_oracle
     # `core.partitions` filtered by `core.is_2_restricted` is the one lister
     # of the 2-restricted partitions
     assert not defined & {"_restricted_partitions", "_conjugate", "_distinct_parts"}
+
+
+# The functions that check an argument, and the kernels that trust theirs.
+VALIDATORS = {
+    "as_multicharge", "as_partition", "check_charge", "check_component_count",
+    "check_multipartition", "check_node", "check_residues", "check_shape", "check_size",
+    "LaurentPoly",  # the checking constructor; `LaurentPoly.from_clean` adopts
+}
+KERNELS = {
+    ("core.py", "steps"), ("core.py", "multipartition_parity"),
+    ("specht.py", "_branch"), ("specht.py", "_removals"), ("tableaux.py", "_search"),
+    ("crystal.py", "_pending"), ("crystal.py", "_Interned.summary"),
+    ("fock.py", "_moves"), ("fock.py", "_entry"),
+}
+
+
+def calls_by_function():
+    """{(module file, function or Class.method): names it calls}, nested
+    functions counted with the function that holds them."""
+    found = {}
+    for path in SOURCES:
+        for top in ast.parse(path.read_text()).body:
+            defs = [(top.name, top)] if isinstance(top, ast.FunctionDef) else []
+            if isinstance(top, ast.ClassDef):
+                defs = [(f"{top.name}.{d.name}", d) for d in top.body if isinstance(d, ast.FunctionDef)]
+            for name, fn in defs:
+                found[path.name, name] = {
+                    node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", "")
+                    for node in ast.walk(fn)
+                    if isinstance(node, ast.Call)
+                }
+    return found
+
+
+def test_only_the_parsers_and_the_entry_points_validate_and_the_kernels_trust():
+    calls = calls_by_function()
+    validating = {where for where, names in calls.items() if names & VALIDATORS}
+    assert validating == {
+        # the CLI parsers
+        ("cli.py", "_parse_charge"), ("cli.py", "_parse_shape"), ("cli.py", "_cmd_truncate"),
+        ("core.py", "parse_multipartition"),
+        # the validators built from the others
+        ("core.py", "as_multicharge"), ("core.py", "check_multipartition"),
+        ("core.py", "check_shape"),
+        # exported entry points checking their own arguments; `_sweep` is the
+        # body of both parity sweeps, and `with_node_added` checks each
+        # placement that `StandardTableau` walks
+        ("core.py", "degree_contribution"), ("core.py", "degree_parity"),
+        ("core.py", "partitions"), ("core.py", "multipartitions"), ("core.py", "with_node_added"),
+        ("specht.py", "qdim_specht"), ("specht.py", "qdim_truncation"),
+        ("specht.py", "_sweep"), ("specht.py", "verify_hecke_even"),
+        ("tableaux.py", "standard_tableaux_with_degrees"), ("tableaux.py", "residue_sequence"),
+        ("tableaux.py", "degree"),
+        ("crystal.py", "add_good_node"), ("crystal.py", "restricted_multipartitions"),
+        ("fock.py", "FockVector.__init__"), ("fock.py", "FockVector.coefficient"),
+        ("fock.py", "induct"), ("fock.py", "canonical_basis"),
+        ("adjustment.py", "AdjustmentEvidence.__post_init__"),
+        # an integer operand becomes a constant polynomial
+        ("laurent.py", "LaurentPoly.__eq__"), ("laurent.py", "LaurentPoly.__add__"),
+        ("laurent.py", "LaurentPoly.__sub__"), ("laurent.py", "LaurentPoly.__mul__"),
+        ("laurent.py", "q_power"),
+    }
+    entry_points = {name.split(".")[0] for _, name in validating} & set(EXPORTS)
+    assert KERNELS <= set(calls)
+    for kernel in KERNELS:
+        assert not calls[kernel] & (VALIDATORS | entry_points), kernel
+    # inside the package a checked shape's parity comes from the kernel
+    assert not any("degree_parity" in names for names in calls.values())
