@@ -11,12 +11,13 @@ Conventions used throughout the package:
 * :func:`steps` is the one node kernel on tuple shapes: it alone decides
   which cells are addable or removable i-nodes, and with what signed count,
   for both residues in one upward pass.  The tableau search and the
-  branching recursion read it; :func:`degree_contribution` recounts its
-  nodes literally, for a tableau's degree and the sweeps' row-filled
-  degrees.  The crystal folds the same run rule into its component
-  summaries (``crystal._Interned.summary``), which its tests check against
-  the literal stack reduction; the Fock space reads the rule from bead masks
-  (``fock._moves``), and its tests check it against :func:`steps`;
+  graded-dimension pass (``specht.layer_counts``) read it;
+  :func:`degree_contribution` recounts its nodes literally, for a tableau's
+  degree and the sweeps' row-filled degrees.  The crystal folds the same
+  run rule into its component summaries (``crystal._Interned.summary``),
+  which its tests check against the literal stack reduction; the Fock space
+  reads the rule from bead masks (``fock._moves``), and its tests check it
+  against :func:`steps`;
 * validation happens once, at the boundary: the CLI parsers and the
   exported entry points check their own arguments, through
   :func:`check_shape` (one partition tuple per integer charge, built from
@@ -24,7 +25,7 @@ Conventions used throughout the package:
   :func:`check_component_count`), :func:`check_residues`,
   :func:`check_size` and :func:`check_node`.  The kernels they hand the
   checked data to (:func:`steps`, :func:`multipartition_parity`, the
-  branching recursion, the tableau search, the crystal's summaries and the
+  graded-dimension pass, the tableau search, the crystal's summaries and the
   Fock moves) trust it and check nothing;
 * :class:`CallMemo` is the one per-call memo: its state is keyed by all it
   depends on, the calls inside a held block share it, a nested block shares

@@ -78,7 +78,7 @@ import sys
 from collections import Counter, defaultdict
 from collections.abc import Iterable, Iterator, Mapping
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, zip_longest
 from operator import or_
 
 from .core import (
@@ -89,6 +89,7 @@ from .core import (
     check_charge,
     check_component_count,
     check_multipartition,
+    check_shape,
     check_size,
     empty_multipartition,
     format_multipartition,
@@ -678,12 +679,20 @@ def simple_qdims(
     """Graded dimensions of the simple modules in characteristic 0, solved by
     back-substitution through the unitriangular decomposition system of
     ``matrix``, which fixes the size.  The Specht graded dimensions of the
-    columns share one memo.  A solved dimension with a negative coefficient,
+    columns come from one layer of :func:`specht.layer_counts`, inside the
+    envelope of the columns: in each component, its j-th part is the largest
+    j-th part of a column.  A solved dimension with a negative coefficient,
     or one that is not bar-symmetric, raises."""
-    from .specht import qdim_memo, qdim_specht
+    from .specht import layer_counts, qdim_memo, qdim_specht
 
-    with qdim_memo.held():
-        spechts = {mu: qdim_specht(mu, kappa) for mu in matrix.cols}
+    cols = matrix.cols
+    for mu in cols:
+        check_shape(mu, kappa)
+    envelope = tuple(tuple(map(max, zip_longest(*comps, fillvalue=0))) for comps in zip(*cols))
+    with qdim_memo.held() as memo:
+        if cols:
+            memo[tuple(kappa)] = layer_counts(kappa, multipartition_size(cols[0]), inside=envelope)
+        spechts = {mu: qdim_specht(mu, kappa) for mu in cols}
     simples: dict[Multipartition, LaurentPoly] = {}
     for mu in reversed(matrix.cols):  # ascending dominance
         total = spechts[mu]

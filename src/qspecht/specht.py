@@ -1,28 +1,33 @@
 """Graded dimensions of Specht modules and their parity verification sweeps.
 
-Graded dimensions are computed by the branching recursion: the largest entry
-of a standard tableau of shape lam sits at a removable node A, and contributes
-the signed node count d_A(lam) to the tableau's degree, so
+A standard tableau of shape lam is a path of added nodes from the empty
+shape, and adding the node A to mu adds the signed node count d_A(mu+A) to
+its degree (Brundan-Kleshchev-Wang, "Graded Specht modules").  So graded
+dimensions grow layer by layer from qdim S(empty) = 1: :func:`layer_counts`
+passes the degree counts of each shape mu of size s to mu+A for every
+addable A that :func:`core.steps` lists, shifted by A's count, and drains
+the layer of size s as it fills the next.  It holds two layers, visits each
+subdiagram once instead of each tableau, and reaches a shape of any size.
+Kept inside one diagram it visits that diagram's subdiagrams; kept to the
+residue ``residues[s]`` at size s it counts the tableaux with that residue
+sequence.
 
-    qdim S(lam) = sum over removable A of q^{d_A(lam)} * qdim S(lam - A),
-
-with qdim S(empty) = 1.  This is the degree of Brundan-Kleshchev-Wang,
-"Graded Specht modules", read off one entry at a time; the recursion reads
-each removable A with d_A(lam) from :func:`core.steps`, builds lam - A, and
-visits each subdiagram once instead of each tableau.  It runs on an explicit
-stack, so a shape of any size is in reach.
-
-The counts are memoized by (charge, subdiagram) in ``qdim_memo``, a
-:class:`core.CallMemo` that the sweeps and :func:`fock.simple_qdims` hold.
+``qdim_memo``, a :class:`core.CallMemo`, maps a charge to one layer of exact
+unrestricted counts, written only by the block that holds it:
+:func:`verify_specht_parity` fills it with every shape of its size and
+:func:`fock.simple_qdims` with the shapes inside the envelope of its
+columns.  :func:`qdim_specht` reads a shape there or else runs the pass
+inside the shape; :func:`qdim_truncation` never writes it.
 
 The exported functions check their arguments once, through
-:func:`core.check_shape` and its siblings, and hand them to the recursion,
+:func:`core.check_shape` and its siblings, before :func:`layer_counts`,
 which trusts them; its counts are positive integers by construction, so a
-graded dimension adopts them with :meth:`LaurentPoly.from_clean`.  A sweep
-checks its charge and size, and reads each shape's parity from
+graded dimension adopts them with :meth:`LaurentPoly.from_clean`.  The
+parity sweep reads each shape's parity from
 :func:`core.multipartition_parity`, since :func:`core.multipartitions` made
-the shape; it still reads each graded dimension through
-:func:`qdim_specht`, which checks the shape again.
+the shape, and still reads each graded dimension through
+:func:`qdim_specht`, which checks the shape again.  The row-degree sweep
+reads no graded dimension.
 
 The sweeps also read the degree of each shape's row-filled tableau from
 :func:`core.degree_contribution`, the literal per-node count, which checks
@@ -34,10 +39,11 @@ prefix and keeps the degrees in a dict of its own.
 
 from __future__ import annotations
 
+from math import factorial
 from typing import NamedTuple
 
 from .core import (
-    REMOVABLE,
+    ADDABLE,
     RESIDUES,
     CallMemo,
     Multicharge,
@@ -47,8 +53,10 @@ from .core import (
     check_shape,
     check_size,
     degree_contribution,
+    empty_multipartition,
     format_multipartition,
     multipartition_parity,
+    multipartition_size,
     multipartitions,
     steps,
 )
@@ -59,70 +67,52 @@ Counts = dict[int, int]
 qdim_memo: CallMemo[dict[Multicharge, dict]] = CallMemo("qspecht_qdim_memo", dict)
 
 
-def _removals(
-    lam: Multipartition, kappa: Multicharge, residues: tuple[int, ...] | None
-) -> list[tuple[Multipartition, int]]:
-    """``(lam - A, d_A(lam))`` for each removable node A that the recursion
-    reads: every one, or with ``residues`` set those of residue
-    ``residues[-1]``."""
-    out = []
-    wanted = RESIDUES if residues is None else residues[-1:]
-    both = steps(lam, kappa)
-    for i in wanted:
-        for (a, b, m), mark, shift in both[i]:
-            if mark == REMOVABLE:
-                comp = lam[m - 1]
-                comp = comp[: a - 1] + (b - 1,) + comp[a:] if b > 1 else comp[: a - 1]
-                out.append((lam[: m - 1] + (comp,) + lam[m:], shift))
-    return out
-
-
-def _branch(
-    lam: Multipartition,
+def layer_counts(
     kappa: Multicharge,
-    memo: dict[Multipartition, Counts],
+    d: int,
+    inside: Multipartition | None = None,
     residues: tuple[int, ...] | None = None,
-) -> Counts:
-    """Degree counts of the standard tableaux of ``lam``, by the branching
-    recursion over its subdiagrams.  With ``residues`` set, only nodes of
-    residue ``residues[-1]`` are removed at each step, which keeps the
-    tableaux with that residue sequence; ``memo`` then holds one residue
-    prefix per size.
-
-    Each stack frame holds a shape, the residue prefix of its subdiagrams,
-    its removals and the iterator that walks them; a shape is counted once
-    all its subdiagrams are, so ``memo`` fills in the order of a recursion.
-    """
-    stack: list = []
-
-    def push(mu: Multipartition, seq: tuple[int, ...] | None) -> None:
-        subs = _removals(mu, kappa, seq)
-        stack.append((mu, None if seq is None else seq[:-1], subs, iter(subs)))
-
-    if lam not in memo:
-        push(lam, residues)
-    while stack:
-        mu, rest, subs, pending = stack[-1]
-        for sub, _ in pending:
-            if sub not in memo:
-                push(sub, rest)
-                break
-        else:
-            stack.pop()
-            counts: Counts = {} if any(mu) else {0: 1}
-            for sub, shift in subs:
-                for deg, count in memo[sub].items():
-                    counts[deg + shift] = counts.get(deg + shift, 0) + count
-            memo[mu] = counts
-    return memo[lam]
+) -> dict[Multipartition, Counts]:
+    """{shape: degree counts} for the shapes of size d, grown from the
+    empty shape one node at a time: each shape's counts pass to mu+A for
+    every addable A, shifted by A's signed count in mu+A.  With ``inside``
+    set only nodes of that diagram are added, and with ``residues`` set
+    only nodes of residue ``residues[s]`` at size s, which keeps the
+    tableaux with that residue sequence.  The arguments are trusted."""
+    layer = {empty_multipartition(len(kappa)): {0: 1}}
+    for s in range(d):
+        wanted = RESIDUES if residues is None else (residues[s],)
+        grown: dict[Multipartition, Counts] = {}
+        while layer:  # drained as the next layer fills
+            mu, counts = layer.popitem()
+            both = steps(mu, kappa)
+            for i in wanted:
+                for (a, b, m), mark, shift in both[i]:
+                    if mark != ADDABLE or inside is not None and (
+                        a > len(inside[m - 1]) or b > inside[m - 1][a - 1]
+                    ):
+                        continue
+                    comp = mu[m - 1]
+                    comp = comp + (1,) if b == 1 else comp[: a - 1] + (b,) + comp[a:]
+                    nu = mu[: m - 1] + (comp,) + mu[m:]
+                    into = grown.get(nu)
+                    if into is None:
+                        grown[nu] = {deg + shift: count for deg, count in counts.items()}
+                    else:
+                        for deg, count in counts.items():
+                            into[deg + shift] = into.get(deg + shift, 0) + count
+        layer = grown
+    return layer
 
 
 def qdim_specht(lam: Multipartition, kappa: Multicharge) -> LaurentPoly:
     """Graded dimension of the Specht module: the degree-generating function
     q^deg(t) summed over all standard tableaux of the shape."""
     check_shape(lam, kappa)
-    memo = qdim_memo.get().setdefault(tuple(kappa), {})
-    return LaurentPoly.from_clean(dict(_branch(lam, kappa, memo)))
+    counts = qdim_memo.get().get(tuple(kappa), {}).get(lam)
+    if counts is None:
+        counts = layer_counts(kappa, multipartition_size(lam), inside=lam)[lam]
+    return LaurentPoly.from_clean(dict(counts))
 
 
 def qdim_truncation(
@@ -132,22 +122,21 @@ def qdim_truncation(
     over the standard tableaux with the given residue sequence."""
     check_shape(lam, kappa)
     check_residues(lam, residues)
-    return LaurentPoly.from_clean(dict(_branch(lam, kappa, {}, tuple(residues))))
+    layer = layer_counts(kappa, len(residues), inside=lam, residues=tuple(residues))
+    return LaurentPoly.from_clean(layer.get(lam, {}))
 
 
 def qdim_hecke(d: int, kappa: Multicharge) -> LaurentPoly:
     """Graded dimension of the whole cyclotomic algebra in rank d, computed
-    as the sum of the squared cell-module graded dimensions over all shapes.
+    as the sum of the squared cell-module graded dimensions over all shapes,
+    which one layer of :func:`layer_counts` holds.
 
-    At q = 1 this is l^d * d! (checked by :func:`verify_hecke_even`).  The
-    shapes share one memo.
+    At q = 1 this is l^d * d! (checked by :func:`verify_hecke_even`).
     """
-    total = ZERO
-    with qdim_memo.held():
-        for lam in multipartitions(d, len(kappa)):
-            s = qdim_specht(lam, kappa)
-            total = total + s * s
-    return total
+    check_size(d)
+    check_charge(kappa)
+    qdims = map(LaurentPoly.from_clean, layer_counts(kappa, d).values())
+    return sum((s * s for s in qdims), ZERO)
 
 
 class SweepReport(NamedTuple):
@@ -224,13 +213,11 @@ def _row_degree_violation(
 
 
 def _sweep(check: str, checker, d: int, kappa: Multicharge) -> SweepReport:
-    """Run ``checker`` on every shape of size d; the shapes share one
-    graded-dimension memo and one dict of row-filled degrees."""
-    check_charge(kappa)
+    """Run ``checker`` on every shape of size d, whose size and charge the
+    caller has checked; the shapes share one dict of row-filled degrees."""
     shapes = list(multipartitions(d, len(kappa)))
     row_degrees: dict[Multipartition, int] = {}
-    with qdim_memo.held():
-        results = [checker(lam, kappa, row_degrees) for lam in shapes]
+    results = [checker(lam, kappa, row_degrees) for lam in shapes]
     return SweepReport(
         check=check,
         parameters={"d": d, "charge": list(kappa)},
@@ -242,14 +229,19 @@ def _sweep(check: str, checker, d: int, kappa: Multicharge) -> SweepReport:
 def verify_specht_parity(d: int, kappa: Multicharge) -> SweepReport:
     """Check every shape of size d: its Specht graded dimension must be pure
     of the shape's combinatorial parity and count the row-filled tableau at
-    its degree.  The shapes share one memo, so each subdiagram is evaluated
-    once."""
-    return _sweep("specht-parity", _parity_violation, d, kappa)
+    its degree.  One layer of :func:`layer_counts` fills the memo with every
+    shape of size d."""
+    check_size(d)
+    check_charge(kappa)
+    with qdim_memo.held() as memo:
+        memo[tuple(kappa)] = layer_counts(kappa, d)
+        return _sweep("specht-parity", _parity_violation, d, kappa)
 
 
 def verify_row_degree_parity(d: int, kappa: Multicharge) -> SweepReport:
     """Check every shape of size d: the degree of its row-filled tableau must
     agree mod 2 with the shape's combinatorial parity."""
+    check_charge(kappa)
     return _sweep("row-degree-parity", _row_degree_violation, d, kappa)
 
 
@@ -260,15 +252,12 @@ def verify_hecke_even(max_d: int, kappa: Multicharge) -> SweepReport:
     check_charge(kappa)
     violations = []
     level = len(kappa)
-    factorial = 1
     for d in range(max_d + 1):
-        if d:
-            factorial *= d
         qdim = qdim_hecke(d, kappa)
         odd = sum(x for e, x in qdim.terms() if e % 2)
         if odd != 0:
             violations.append(f"d={d}: odd part {odd} is nonzero")
-        expected = level**d * factorial
+        expected = level**d * factorial(d)
         if qdim.eval_at_one() != expected:
             violations.append(
                 f"d={d}: total dimension {qdim.eval_at_one()} != {expected}"

@@ -442,6 +442,29 @@ def tableau_truncations(lam, kappa):
     return {seq: LaurentPoly(by_degree) for seq, by_degree in counts.items()}
 
 
+@lru_cache(maxsize=None)
+def branching_truncations(lam, kappa):
+    """{residue sequence: {degree: count}} of the standard tableaux of
+    ``lam``, by the backward branching recursion that ``specht`` ran before
+    its forward pass: the largest entry of a tableau sits at a removable
+    node A, of residue i, and adds the signed node count of A in lam, so the
+    tableaux of lam with sequence s + (i,) are those of lam - A with
+    sequence s, shifted by that count.  The nodes and counts are the literal
+    ones of this module; it recurses once per size, so it serves small
+    shapes only."""
+    if not any(lam):
+        return {(): {0: 1}}
+    out = {}
+    for i in (0, 1):
+        for node in removable_nodes(lam, kappa, i):
+            shift = degree_contribution(lam, kappa, node)
+            for seq, counts in branching_truncations(with_node_removed(lam, node), kappa).items():
+                into = out.setdefault(seq + (i,), {})
+                for deg, count in counts.items():
+                    into[deg + shift] = into.get(deg + shift, 0) + count
+    return out
+
+
 def recursive_compositions(d, length):
     """The ways to write ``d`` as ``length`` nonnegative parts, by the
     recursion on the first part, largest first part first."""

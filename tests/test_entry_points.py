@@ -21,8 +21,10 @@ from qspecht.core import (
     young_nodes,
 )
 from qspecht.crystal import add_good_node, restricted_multipartitions
+from qspecht.fock import decomposition_matrix, simple_qdims
 from qspecht.laurent import ZERO, LaurentPoly
 from qspecht.specht import (
+    qdim_hecke,
     qdim_specht,
     qdim_truncation,
     verify_hecke_even,
@@ -233,6 +235,7 @@ def test_entry_points_that_take_a_size(d, kappa):
     }
     by_size_and_charge = {
         "restricted_multipartitions": lambda: restricted_multipartitions(d, kappa),
+        "qdim_hecke": lambda: qdim_hecke(d, kappa),
         "verify_hecke_even": lambda: verify_hecke_even(d, kappa),
         "verify_specht_parity": lambda: verify_specht_parity(d, kappa),
         "verify_row_degree_parity": lambda: verify_row_degree_parity(d, kappa),
@@ -246,8 +249,22 @@ def test_entry_points_that_take_a_size(d, kappa):
     assert by_size["partitions"]() == list(oracles.recursive_partitions(d))
     shapes_of_d = by_size["multipartitions"]()
     assert len(shapes_of_d) == len(set(shapes_of_d))
+    # a level-1 matrix, solved with the drawn charge: a charge of another
+    # level, or one that is not an integer, is refused
+    level_1 = valid and len(kappa) == 1
+    matrix = decomposition_matrix(d, kappa if level_1 else (0,))
+    if not level_1:
+        with pytest.raises(ValueError):
+            simple_qdims(matrix, kappa)
+    else:
+        simples = simple_qdims(matrix, kappa)
+        for lam in matrix.rows:
+            rebuilt = sum((matrix.entry(lam, mu) * simples[mu] for mu in matrix.cols), ZERO)
+            assert rebuilt == oracle_qdim(lam, kappa), lam
     if not valid:
         return
+    qdims = [oracle_qdim(lam, kappa) for lam in shapes_of_d]
+    assert qdim_hecke(d, kappa) == sum((qdim * qdim for qdim in qdims), ZERO)
     assert restricted_multipartitions(d, kappa) == closure_layer(d, kappa)
     for sweep in (verify_specht_parity, verify_row_degree_parity):
         report = sweep(d, kappa)

@@ -36,6 +36,7 @@ from qspecht.specht import (
 )
 from qspecht.tableaux import degree, row_filled_tableau, standard_tableaux_with_degrees
 from oracles import (
+    branching_truncations,
     hook_length_count,
     literal_truncations,
     partition_count,
@@ -66,12 +67,15 @@ def test_qdim_specht_counts_tableaux():
 
 @pytest.mark.parametrize("level, max_d", [(1, 10), (2, 8), (3, 6)])
 def test_graded_dimensions_match_tableau_sums(level, max_d):
-    """The branching recursion against the sum over tableaux, for every
+    """The graded dimensions against the sum over tableaux, for every
     charge; truncations too, on every residue sequence that occurs, for
-    shapes of size at most 7 at levels 1 and 2.  The charges interleave in
-    one shared memo, which must keep them apart."""
+    shapes of size at most 7 at levels 1 and 2.  The sweeps of each size
+    fill one shared memo with a layer per charge, which must keep them
+    apart."""
     with specht.qdim_memo.held():
         for d in range(max_d + 1):
+            for kappa in product((0, 1), repeat=level):
+                assert verify_specht_parity(d, kappa).ok
             for lam in multipartitions(d, level):
                 for kappa in product((0, 1), repeat=level):
                     by_sequence = tableau_truncations(lam, kappa)
@@ -92,6 +96,89 @@ def test_tableau_oracle_is_the_literal_sum():
                 for kappa in product((0, 1), repeat=level):
                     literal = literal_truncations(lam, kappa)
                     assert tableau_truncations(lam, kappa) == literal, (lam, kappa)
+
+
+@pytest.mark.parametrize("level, max_d", [(1, 10), (2, 7), (3, 5)])
+def test_layer_counts_match_the_branching_recursion(level, max_d):
+    """The forward pass against the backward branching recursion, for every
+    charge and every shape: the whole layer, the pass inside the shape, and
+    the pass on each residue sequence that the shape's tableaux have."""
+    for kappa in product((0, 1), repeat=level):
+        for d in range(max_d + 1):
+            layer = specht.layer_counts(kappa, d)
+            assert list(sorted(layer)) == sorted(multipartitions(d, level)), (d, kappa)
+            for lam, counts in layer.items():
+                by_sequence = branching_truncations(lam, kappa)
+                total = {}
+                for by_degree in by_sequence.values():
+                    for deg, count in by_degree.items():
+                        total[deg] = total.get(deg, 0) + count
+                assert counts == total, (lam, kappa)
+                assert specht.layer_counts(kappa, d, inside=lam) == {lam: total}, (lam, kappa)
+                for seq, by_degree in by_sequence.items():
+                    restricted = specht.layer_counts(kappa, d, inside=lam, residues=seq)
+                    assert restricted == {lam: by_degree}, (lam, kappa, seq)
+
+
+def test_a_parity_sweep_holds_one_layer_of_its_size(monkeypatch):
+    """Each graded dimension that the sweep reads comes from a memo that
+    holds the shapes of the sweep's size and no other."""
+    held = []
+
+    def reading(lam, kappa):
+        held.append({charge: set(layer) for charge, layer in specht.qdim_memo.get().items()})
+        return qdim_specht(lam, kappa)
+
+    monkeypatch.setattr(specht, "qdim_specht", reading)
+    for d, kappa in [(8, K0), (5, (0, 1)), (4, (1, 0, 1))]:
+        held.clear()
+        assert verify_specht_parity(d, kappa).ok
+        expected = {kappa: set(multipartitions(d, len(kappa)))}
+        assert held and all(state == expected for state in held), (d, kappa)
+
+
+def test_only_the_holder_writes_the_memo():
+    with specht.qdim_memo.held() as memo:
+        assert qdim_specht(((3, 1),), K0) == 2 * Q + q_power(3)
+        assert qdim_truncation(((2,),), K0, (0, 1)) == Q
+        assert memo == {}
+        assert verify_specht_parity(4, K0).ok
+        before = {k: {lam: dict(c) for lam, c in layer.items()} for k, layer in memo.items()}
+        assert qdim_truncation(((3, 2, 2, 1),), K0, (0, 1, 0, 1, 0, 1, 0, 1)) == q_power(-1) + 3 * Q
+        assert qdim_truncation(((3, 1),), K0, (1, 0, 1, 0)) == LaurentPoly()
+        assert qdim_specht(((5, 1),), K0).eval_at_one() == 5
+        assert memo == before
+
+
+@pytest.mark.parametrize("kappa", [K0, (1,)])
+def test_simple_qdims_reads_the_columns_from_one_layer(monkeypatch, kappa):
+    """Each column's graded dimension comes from the layer that
+    ``simple_qdims`` holds, and agrees with the pass inside the column
+    alone, outside any block."""
+    read = {}
+
+    def reading(lam, kappa):
+        assert lam in specht.qdim_memo.get()[tuple(kappa)]
+        read[lam] = qdim_specht(lam, kappa)
+        return read[lam]
+
+    monkeypatch.setattr(specht, "qdim_specht", reading)
+    for d in range(15):
+        matrix = decomposition_matrix(d, kappa)
+        read.clear()
+        assert simple_qdims(matrix, kappa)
+        assert list(read) == list(matrix.cols)
+        for mu, qdim in read.items():
+            assert qdim == qdim_specht(mu, kappa), (d, mu)
+
+
+def test_the_row_degree_sweep_reads_no_graded_dimension(monkeypatch):
+    def refusing(*args, **kwargs):
+        raise AssertionError("the row-degree sweep grew a layer")
+
+    monkeypatch.setattr(specht, "layer_counts", refusing)
+    assert verify_row_degree_parity(12, K0).ok
+    assert verify_row_degree_parity(5, (0, 1)).ok
 
 
 def module_states():
@@ -334,8 +421,11 @@ def test_a_sweep_reads_each_row_filled_prefix_once(monkeypatch):
 
 def test_the_walks_run_without_recursion():
     # a 1,200-node row is deeper than Python's default recursion limit
-    assert specht._row_filled_degree(((1200,),), K0, {}) == 600
-    for fn in (specht._branch, specht._row_filled_degree, tableaux._search):
+    row = ((1200,),)
+    assert specht._row_filled_degree(row, K0, {}) == 600
+    assert qdim_specht(row, K0) == q_power(600)
+    assert qdim_truncation(row, K0, (0, 1) * 600) == q_power(600)
+    for fn in (specht.layer_counts, specht._row_filled_degree, tableaux._search):
         tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
         for scope in ast.walk(tree):
             if isinstance(scope, ast.FunctionDef):

@@ -156,7 +156,7 @@ def test_only_core_holds_context_variables_and_no_module_reads_anothers_private_
 
 def test_the_node_kernel_has_three_readers_and_the_node_lists_live_in_the_oracles():
     # `core.steps` is the one node kernel on tuple shapes: it serves the
-    # tableau search and the branching recursion (the Fock space reads bead
+    # tableau search and the graded-dimension pass (the Fock space reads bead
     # masks, the crystal folds the run rule into its component summaries),
     # and `degree_contribution` recounts its nodes for the literal prefix
     # recursion.  Each call passes the shape and the charge only, and no
@@ -178,7 +178,7 @@ def test_the_node_kernel_has_three_readers_and_the_node_lists_live_in_the_oracle
                         assert len(node.args) == 2 and not node.keywords, path.name
     assert readers == {
         ("core.py", "degree_contribution"),
-        ("specht.py", "_removals"),
+        ("specht.py", "layer_counts"),
         ("tableaux.py", "_search"),
     }
     crystal = ast.parse((SOURCES[0].parent / "crystal.py").read_text())
@@ -204,7 +204,7 @@ VALIDATORS = {
 }
 KERNELS = {
     ("core.py", "steps"), ("core.py", "multipartition_parity"),
-    ("specht.py", "_branch"), ("specht.py", "_removals"), ("tableaux.py", "_search"),
+    ("specht.py", "layer_counts"), ("tableaux.py", "_search"),
     ("crystal.py", "_pending"), ("crystal.py", "_Interned.summary"),
     ("fock.py", "_moves"), ("fock.py", "_entry"),
 }
@@ -238,18 +238,19 @@ def test_only_the_parsers_and_the_entry_points_validate_and_the_kernels_trust():
         # the validators built from the others
         ("core.py", "as_multicharge"), ("core.py", "check_multipartition"),
         ("core.py", "check_shape"),
-        # exported entry points checking their own arguments; `_sweep` is the
-        # body of both parity sweeps, and `with_node_added` checks each
-        # placement that `StandardTableau` walks
+        # exported entry points checking their own arguments, each before it
+        # hands them to a kernel; `with_node_added` checks each placement
+        # that `StandardTableau` walks
         ("core.py", "degree_contribution"), ("core.py", "degree_parity"),
         ("core.py", "partitions"), ("core.py", "multipartitions"), ("core.py", "with_node_added"),
         ("specht.py", "qdim_specht"), ("specht.py", "qdim_truncation"),
-        ("specht.py", "_sweep"), ("specht.py", "verify_hecke_even"),
+        ("specht.py", "qdim_hecke"), ("specht.py", "verify_specht_parity"),
+        ("specht.py", "verify_row_degree_parity"), ("specht.py", "verify_hecke_even"),
         ("tableaux.py", "standard_tableaux_with_degrees"), ("tableaux.py", "residue_sequence"),
         ("tableaux.py", "degree"),
         ("crystal.py", "add_good_node"), ("crystal.py", "restricted_multipartitions"),
         ("fock.py", "FockVector.__init__"), ("fock.py", "FockVector.coefficient"),
-        ("fock.py", "induct"), ("fock.py", "canonical_basis"),
+        ("fock.py", "induct"), ("fock.py", "canonical_basis"), ("fock.py", "simple_qdims"),
         ("adjustment.py", "AdjustmentEvidence.__post_init__"),
         # an integer operand becomes a constant polynomial
         ("laurent.py", "LaurentPoly.__eq__"), ("laurent.py", "LaurentPoly.__add__"),
