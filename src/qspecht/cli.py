@@ -8,6 +8,10 @@ adjustment entry is reported, not treated as an error).
 Only the standard library, ``core`` and ``crystal`` are imported here; every
 other handler imports its modules when it runs, and ``json`` is imported
 only for ``--format json``, so a command loads only what it runs.
+
+Output is written in chunks as it is rendered: ``llt`` renders its matrix
+row by row from the nonzero cells, JSON is encoded incrementally, and no
+write carries more than about 1 MB of text.
 """
 
 from __future__ import annotations
@@ -15,6 +19,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections.abc import Iterable
+from itertools import chain, islice
 
 from .core import (
     as_multicharge,
@@ -58,8 +64,17 @@ def _check_nonnegative(value: int | None, flag: str) -> None:
         raise UsageError(f"{flag} must be nonnegative, got {value}")
 
 
-def _emit(payload: dict | None, text_lines: list[str], fmt: str) -> None:
-    """Print the payload as JSON, or else the text lines in one write.
+# Each write carries up to 8,192 JSON tokens (tens of kilobytes), or text
+# lines up to about 1 MB: a shorter listing is one write, and a row of
+# `llt --d 32` is 13 kB.
+_JSON_TOKENS = 1 << 13
+_TEXT_CHARS = 1 << 20
+
+
+def _emit(payload: dict | None, text_lines: Iterable[str], fmt: str) -> None:
+    """Print the payload as indented JSON, or else the text lines, in chunks
+    taken as they are rendered: ``text_lines`` may be a generator, and a long
+    document is never one string.
 
     A reader that closes the pipe early (``| head``) ends the output, not the
     command: stdout is pointed at the null device, so nothing more is
@@ -69,9 +84,20 @@ def _emit(payload: dict | None, text_lines: list[str], fmt: str) -> None:
         if fmt == "json":
             import json
 
-            print(json.dumps(payload, indent=2, sort_keys=True))
-        elif text_lines:
-            sys.stdout.write("\n".join(text_lines) + "\n")
+            tokens = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
+            while batch := list(islice(tokens, _JSON_TOKENS)):
+                sys.stdout.write("".join(batch))
+            sys.stdout.write("\n")
+        else:
+            batch, size = [], 0
+            for line in text_lines:
+                batch.append(line)
+                size += len(line)
+                if size >= _TEXT_CHARS:
+                    sys.stdout.write("\n".join(batch) + "\n")
+                    batch, size = [], 0
+            if batch:
+                sys.stdout.write("\n".join(batch) + "\n")
         sys.stdout.flush()
     except BrokenPipeError:
         devnull = os.open(os.devnull, os.O_WRONLY)
@@ -235,34 +261,44 @@ def _cmd_llt(args) -> int:
         _emit(payload, [], args.format)
         return code
 
+    # one pass over the nonzero cells sets their strings, by row, and the
+    # column widths; each row is then built and written in turn
     rows = [format_multipartition(lam) for lam in matrix.rows]
-    table = [["0"] * len(cols) for _ in rows]
+    texts: list[list[tuple[int, str]]] = [[] for _ in rows]
     widths = [len(name) for name in cols]
     for r, c, entry in cells:
-        text = table[r][c] = str(entry)
+        text = str(entry)
+        texts[r].append((c, text))
         widths[c] = max(widths[c], len(text))
     if args.format == "csv":
-        lines = ["lambda," + ",".join(f'"{name}"' for name in cols)]
-        for name, row in zip(rows, table):
-            lines.append(f'"{name}",' + ",".join(f'"{text}"' for text in row))
-        _emit(None, lines, args.format)
+        header = "lambda," + ",".join(f'"{name}"' for name in cols)
+        cells_of = _dense_rows(texts, ['"0"'] * len(cols), lambda c, text: f'"{text}"')
+        body = (f'"{name}",' + ",".join(line) for name, line in zip(rows, cells_of))
+        _emit(None, chain([header], body), args.format)
         return code
 
-    lines = [f"decomposition matrix for d={args.d} (rows x cols = "
-             f"{len(rows)} x {len(cols)})"]
+    title = f"decomposition matrix for d={args.d} (rows x cols = {len(rows)} x {len(cols)})"
     label_width = max((len(name) for name in rows), default=1)
-    header = "  ".join(name.rjust(w) for name, w in zip(cols, widths))
-    lines.append(" " * label_width + "  " + header)
-    for name, row in zip(rows, table):
-        texts = "  ".join(text.rjust(w) for text, w in zip(row, widths))
-        lines.append(f"{name.ljust(label_width)}  {texts}")
-    lines.append("simple graded dimensions:")
-    for name, mu in zip(cols, matrix.cols):
-        if mu in simples:
-            lines.append(f"  D({name}) = {simples[mu]}")
-    lines += [f"violation: {v}" for v in violations]
-    _emit(None, lines, args.format)
+    header = " " * label_width + "  " + "  ".join(name.rjust(w) for name, w in zip(cols, widths))
+    blank = ["0".rjust(w) for w in widths]
+    cells_of = _dense_rows(texts, blank, lambda c, text: text.rjust(widths[c]))
+    body = (f"{name.ljust(label_width)}  " + "  ".join(line) for name, line in zip(rows, cells_of))
+    tail = ["simple graded dimensions:"]
+    tail += [f"  D({name}) = {simples[mu]}" for name, mu in zip(cols, matrix.cols) if mu in simples]
+    tail += [f"violation: {v}" for v in violations]
+    _emit(None, chain([title, header], body, tail), args.format)
     return code
+
+
+def _dense_rows(texts, blank, cell):
+    """The cell strings of each row, built as the row is reached: a copy of
+    ``blank``, the zero cell of every column, with ``cell(c, text)`` at each
+    of the row's nonzero cells ``(c, text)``."""
+    for row in texts:
+        line = blank.copy()
+        for c, text in row:
+            line[c] = cell(c, text)
+        yield line
 
 
 def _cmd_adjustment(args) -> int:

@@ -641,7 +641,11 @@ class GradedDecompositionMatrix:
         )
 
     def to_json(self) -> dict:
-        cells: list[list[list]] = [[[] for _ in self.cols] for _ in self.rows]
+        """``rows`` and ``cols`` name the shapes, and ``entries`` holds one
+        list per row of each cell's ``[exponent, coefficient]`` pairs.  Every
+        zero cell is the one shared empty tuple, a pointer rather than a list
+        of its own, and encodes as ``[]``: the JSON text holds no tuple."""
+        cells: list[list[tuple | list]] = [[()] * len(self.cols) for _ in self.rows]
         for r, c, entry in self.nonzero_cells():
             cells[r][c] = entry.to_pairs()
         return {

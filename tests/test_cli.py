@@ -208,6 +208,33 @@ def test_llt_16_output_matches_frozen_digest(capsys, charge, fmt):
     assert digest == FROZEN_LLT_16_SHA256[charge, fmt]
 
 
+# sha256 of the stdout of `llt --d d --charge c --format f` for the 1 x 1
+# matrices of d = 0 and 1, recorded from the implementation that printed the
+# whole document in one write
+FROZEN_LLT_EDGE_SHA256 = {
+    (0, "0", "text"): "79d7f54964bce5e2dc49e06ba9e165c320521dc969b44bebd7c719bbf05fd8f6",
+    (0, "0", "json"): "26b2eea9ed26b405b09a68bab983bc8de74fd7bbf61693f0eeea183ecb3cd0b8",
+    (0, "0", "csv"): "f05797f90b4788c7fe7f3e5c885a72bcac34a2a1d7ebc6bad2dca52f5eb5f32b",
+    (0, "1", "text"): "79d7f54964bce5e2dc49e06ba9e165c320521dc969b44bebd7c719bbf05fd8f6",
+    (0, "1", "json"): "56b3f1e54682af1d63f8973f4cf41e02fdbee136d0a2ee7ba175cd02883f6720",
+    (0, "1", "csv"): "f05797f90b4788c7fe7f3e5c885a72bcac34a2a1d7ebc6bad2dca52f5eb5f32b",
+    (1, "0", "text"): "86e3b948f6b442dab10c3505bf2b8ad98756a348992983d65384e8c8697de430",
+    (1, "0", "json"): "c796e9872ff92c234b59c540ee0527abd29ce6f07397a217619d2e248dbc3aef",
+    (1, "0", "csv"): "d75ed9d284d0067853ba9c5dc0359c645f85591b091d5926a98b3cf5fa46b202",
+    (1, "1", "text"): "86e3b948f6b442dab10c3505bf2b8ad98756a348992983d65384e8c8697de430",
+    (1, "1", "json"): "594fbf2de958e9fa41ead967ee1de98a95a8702e21b9341b554ab1d35a632c63",
+    (1, "1", "csv"): "d75ed9d284d0067853ba9c5dc0359c645f85591b091d5926a98b3cf5fa46b202",
+}
+
+
+@pytest.mark.parametrize("d,charge,fmt", sorted(FROZEN_LLT_EDGE_SHA256))
+def test_llt_edge_output_matches_frozen_digest(capsys, d, charge, fmt):
+    code, out = run(capsys, "llt", "--d", str(d), "--charge", charge, "--format", fmt)
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == FROZEN_LLT_EDGE_SHA256[d, charge, fmt]
+
+
 # sha256 of the stdout of the tableau listings and the row-tableau degree
 # sweep, recorded from the implementation that scanned addable and removable
 # cells separately.  The listings add the signed counts of `core.steps` and
@@ -486,21 +513,32 @@ def fresh_process_env():
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
 
 
-def test_reader_closing_the_pipe_early_is_not_an_error():
-    # the listing is larger than a pipe buffer, so the writer is still
+@pytest.mark.parametrize(
+    "argv,first_line",
+    [
+        (["restricted", "--d", "30", "--charge", "0,1"], b"count: 3056\n"),
+        (["llt", "--d", "24"], b"decomposition matrix for d=24 (rows x cols = 1575 x 122)\n"),
+        (["llt", "--d", "24", "--format", "csv"], b'lambda,"6,5,4,3,3,2,1",'),
+        (["llt", "--d", "24", "--format", "json"], b"{\n"),
+    ],
+    ids=["restricted", "llt-text", "llt-csv", "llt-json"],
+)
+def test_reader_closing_the_pipe_early_is_not_an_error(argv, first_line):
+    # each output is larger than a pipe buffer, so the writer is still
     # printing when the reader goes away
     proc = subprocess.Popen(
-        [sys.executable, "-m", "qspecht", "restricted", "--d", "30", "--charge", "0,1"],
+        [sys.executable, "-m", "qspecht", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=fresh_process_env(),
     )
-    assert proc.stdout.readline() == b"count: 3056\n"
+    assert proc.stdout.readline().startswith(first_line)
     proc.stdout.close()
     stderr = proc.stderr.read()
     proc.stderr.close()
     assert proc.wait(timeout=60) == 0
     assert b"Traceback" not in stderr
+    assert b"Exception ignored" not in stderr
 
 
 @pytest.mark.parametrize("check", ["parity", "hecke"])

@@ -437,10 +437,24 @@ def test_a_start_vector_not_held_is_a_consistency_error(monkeypatch):
 
 
 def test_sparse_matrix_json_is_the_dense_one():
+    # the JSON text is what `llt` prints and the session digest reads; each
+    # zero cell is the one shared empty tuple, not a list of its own
+    zero_cells = []
     for c in (0, 1):
         for d in range(17):
             matrix = decomposition_matrix(d, (c,))
-            assert matrix.to_json() == dense_matrix_json(matrix), (d, c)
+            sparse = matrix.to_json()
+            text = json.dumps(sparse, sort_keys=True)
+            assert text == json.dumps(dense_matrix_json(matrix), sort_keys=True), (d, c)
+            for lam, row in zip(matrix.rows, sparse["entries"]):
+                for mu, cell in zip(matrix.cols, row):
+                    entry = matrix.entry(lam, mu)
+                    if entry:
+                        assert cell == entry.to_pairs(), (lam, mu)
+                    else:
+                        zero_cells.append(cell)
+    assert zero_cells[0] == () and type(zero_cells[0]) is tuple
+    assert all(cell is zero_cells[0] for cell in zero_cells)
 
 
 def test_nonzero_cells_are_the_nonzero_entries_in_row_major_order():
